@@ -3,6 +3,7 @@ conjectural degree-2 differential overlay, rendered as TSV/JSON/SVG."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -56,15 +57,25 @@ def _dot(mono: EinftyMonomial) -> ChartDot:
     return ChartDot(d.p - mono.filtration, mono.filtration, d.q, mono.label())
 
 
-def integer_stem_chart(stem_max: int, s_max: int) -> list[ChartDot]:
-    """Dots of the uncompleted limit page in integer stems (sigma-part 0)."""
-    dots = []
-    for stem in range(stem_max + 1):
-        for s in range(s_max + 1):
-            d = RO2Degree(stem + s, 0)
-            for mono in xadic.einfty_basis(None, s, d):
-                dots.append(_dot(mono))
-    return sorted(dots, key=ChartDot.sort_key)
+def stem_dots(stem: int, s_max: int) -> list[ChartDot]:
+    """Dots of one integer stem column of the uncompleted limit page."""
+    return [
+        _dot(mono)
+        for s in range(s_max + 1)
+        for mono in xadic.einfty_basis(None, s, RO2Degree(stem + s, 0))
+    ]
+
+
+def integer_stem_chart(stem_max: int, s_max: int, stem_min: int = 0,
+                       map_fn=map) -> list[ChartDot]:
+    """Dots of the uncompleted limit page in integer stems (sigma-part 0).
+
+    map_fn(fn, stems) must return the columns in stem order; a process
+    pool's ordered map fits, since the column function pickles.
+    """
+    columns = map_fn(functools.partial(stem_dots, s_max=s_max),
+                     range(stem_min, stem_max + 1))
+    return sorted((dot for col in columns for dot in col), key=ChartDot.sort_key)
 
 
 def slice_chart(q_slice: int, stems: tuple[int, int], s_max: int, n: int,

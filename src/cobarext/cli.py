@@ -2,13 +2,14 @@
 
 Every command writes byte-deterministic output for a fixed invocation;
 parallel fan-out merges results in canonical order so --jobs never changes
-the bytes.  Exit codes: 0 success/pass, 1 verification or computation
-failure, 2 usage error.
+the bytes.  Exit codes: 0 success/pass, 1 verification or stabilization
+failure, 2 usage error or a window the guards refuse.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -84,25 +85,6 @@ def _ext_cell(args):
     n, s, p, q, invert = args
     res = cobar.ext_dim(s, RO2Degree(p, q), n, invert)
     return s, p, q, res.dim, res.rep_labels
-
-
-def _einfty_cell(args):
-    n, s, p, q = args
-    d = RO2Degree(p, q)
-    got = cobar.ext_dim(s, d, n, False).dim
-    want = len(xadic.einfty_basis(n, s, d))
-    return s, p, q, got, want
-
-
-def _stem_column(args):
-    stem, s_max = args
-    out = []
-    for s in range(s_max + 1):
-        d = RO2Degree(stem + s, 0)
-        for mono in xadic.einfty_basis(None, s, d):
-            dd = mono.degree()
-            out.append((dd.p - mono.filtration, mono.filtration, dd.q, mono.label()))
-    return out
 
 
 # -- commands -----------------------------------------------------------------
@@ -211,26 +193,20 @@ def cmd_verify_coboundary(args) -> int:
 
 def cmd_verify_einfty(args) -> int:
     n = parse_level(args.n)
-    cells = [
-        (n, s, p, q)
-        for s in range(args.smax + 1)
-        for p in range(-args.window, args.window + 1)
-        for q in range(-args.window, args.window + 1)
-    ]
-    rows = pool_map(_einfty_cell, cells, args.jobs)
+    report = xadic.verify_einfty(n, args.window, args.smax,
+                                 map_fn=functools.partial(pool_map, jobs=args.jobs))
     mismatches = [
-        {"s": s, "p": p, "q": q, "ext": got, "closed_form": want}
-        for s, p, q, got, want in rows if got != want
+        {"s": m.s, "p": m.p, "q": m.q, "ext": m.ext, "closed_form": m.closed_form}
+        for m in report.mismatches
     ]
-    ok = not mismatches
-    print(f"n={level_str(n)}: {len(rows)} tridegrees checked, "
-          f"{len(mismatches)} mismatches: {'pass' if ok else 'FAIL'}")
+    print(f"n={level_str(n)}: {report.checked} tridegrees checked, "
+          f"{len(mismatches)} mismatches: {'pass' if report.ok else 'FAIL'}")
     emit_json(
-        {"ok": ok, "n": level_str(n), "window": args.window, "smax": args.smax,
-         "checked": len(rows), "mismatches": mismatches},
+        {"ok": report.ok, "n": level_str(n), "window": args.window, "smax": args.smax,
+         "checked": report.checked, "mismatches": mismatches},
         args.out,
     )
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def cmd_verify_vanishing(args) -> int:
@@ -300,14 +276,9 @@ def cmd_chart(args) -> int:
     if args.format not in ("tsv", "json", "svg"):
         raise UsageError(f"unknown format {args.format!r} (expected svg, tsv, json)")
     if args.sigma is None:
-        columns = pool_map(
-            _stem_column, [(stem, args.smax) for stem in range(stem_lo, stem_hi + 1)],
-            args.jobs)
-        dots = sorted(
-            (charts.ChartDot(*row) for col in columns for row in col
-             if stem_lo <= row[0] <= stem_hi),
-            key=charts.ChartDot.sort_key,
-        )
+        dots = charts.integer_stem_chart(
+            stem_hi, args.smax, stem_lo,
+            map_fn=functools.partial(pool_map, jobs=args.jobs))
     else:
         dots = charts.slice_chart(args.sigma, (stem_lo, stem_hi), args.smax, args.n)
     arrows: tuple[charts.ChartArrow, ...] = ()
@@ -524,12 +495,12 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (cobar.UnboundedBasisError, hopf.UnboundedCoactionError,
-            xadic.StageOutOfRangeError, ValueError) as e:
+    except (cobar.UnboundedBasisError, cobar.ComplexTooLargeError,
+            hopf.UnboundedCoactionError, xadic.StageOutOfRangeError,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (cobar.ComplexTooLargeError, cobar.NotStabilizedError,
-            charts.ChartMismatchError) as e:
+    except (cobar.NotStabilizedError, charts.ChartMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

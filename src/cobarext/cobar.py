@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .f2linalg import (
     CohomologyResult,
     F2Matrix,
+    bits,
     echelon_insert,
     cohomology_dim,
 )
@@ -227,12 +228,7 @@ class ExtResult:
     basis: tuple[CobarMonomial, ...]
 
     def rep_monomials(self, v: int) -> list[CobarMonomial]:
-        out = []
-        while v:
-            j = (v & -v).bit_length() - 1
-            out.append(self.basis[j])
-            v &= v - 1
-        return out
+        return [self.basis[j] for j in bits(v)]
 
     @property
     def rep_labels(self) -> tuple[str, ...]:
@@ -251,7 +247,10 @@ def ext_dim(s: int, d: RO2Degree, n: TruncationLevel, invert_u: bool = False,
 
 
 def _truncation_map(src: SliceComplex, dst: SliceComplex, s: int) -> list[int | None]:
-    """Index map for slotwise reduction from a higher level to a lower one."""
+    """Index map for slotwise reduction from a higher level to a lower one.
+
+    Between two complexes at the same level every word survives, and the map
+    is the inclusion of word bases (multiplication by a, for instance)."""
     cap = letter_cap(dst.n)
     dst_index = dst.index(s)
     out: list[int | None] = []
@@ -268,12 +267,10 @@ def _truncation_map(src: SliceComplex, dst: SliceComplex, s: int) -> list[int | 
 
 def _map_vector(index_map: list[int | None], v: int) -> int:
     out = 0
-    while v:
-        j = (v & -v).bit_length() - 1
+    for j in bits(v):
         t = index_map[j]
         if t is not None:
             out ^= 1 << t
-        v &= v - 1
     return out
 
 
@@ -308,7 +305,8 @@ class LimitReport:
 
 def _image_in_lower(hi: SliceComplex, lo: SliceComplex, s: int,
                     reps: tuple[int, ...]) -> tuple[int, list[int]]:
-    """Dimension and representatives of the image of H(hi) in H(lo) at slice s."""
+    """Dimension and representatives of the image of H(hi) in H(lo) at slice s,
+    under the map of word bases that _truncation_map gives."""
     index_map = _truncation_map(hi, lo, s)
     d_out = lo.matrix(s)
     pivots: dict[int, int] = {}
@@ -319,7 +317,7 @@ def _image_in_lower(hi: SliceComplex, lo: SliceComplex, s: int,
     for v in reps:
         w = _map_vector(index_map, v)
         if d_out.apply(w):
-            raise AssertionError("truncation of a cocycle failed to be a cocycle")
+            raise AssertionError("the word map sent a cocycle to a non-cocycle")
         r = echelon_insert(pivots, w)
         if r:
             residues.append(r)
@@ -369,18 +367,11 @@ def limit_ext_report(s: int, d: RO2Degree, levels, max_dim: int = DEFAULT_MAX_DI
         limit = image_dims[0] if stabilized else None
     basis_labels: tuple[str, ...] = ()
     if stabilized:
-        penultimate = complexes[-2]
-        words = penultimate.words(s)
-        labels = []
-        for v in image_residues[-1]:
-            monos = []
-            vv = v
-            while vv:
-                j = (vv & -vv).bit_length() - 1
-                monos.append(_monomial(words[j], d))
-                vv &= vv - 1
-            labels.append(element_label(monos))
-        basis_labels = tuple(labels)
+        words = complexes[-2].words(s)
+        basis_labels = tuple(
+            element_label([_monomial(words[j], d) for j in bits(v)])
+            for v in image_residues[-1]
+        )
     return LimitReport(
         s, d, levels, dims, tuple(image_dims), skip, rule, stabilized, limit,
         basis_labels,
@@ -399,31 +390,14 @@ def limit_ext_dim(s: int, d: RO2Degree, n_start: int = 1, depth: int = 3,
 def a_multiplication_rank(s: int, d: RO2Degree, n: TruncationLevel,
                           invert_u: bool = False,
                           max_dim: int = DEFAULT_MAX_DIM) -> int:
-    """Rank of multiplication by a on cohomology, Ext(s, d) -> Ext(s, d+(0,-1))."""
-    src = ext_dim(s, d, n, invert_u, max_dim)
-    d_tgt = RO2Degree(d.p, d.q - 1)
-    tgt = get_complex(d_tgt, n, invert_u, max_dim)
-    tgt_index = tgt.index(s)
-    src_cx = get_complex(d, n, invert_u, max_dim)
-    index_map: list[int | None] = []
-    for w in src_cx.words(s):
-        t = tgt_index.get(w)
-        if t is None:
-            raise AssertionError("multiplication by a lost a basis word")
-        index_map.append(t)
-    d_out = tgt.matrix(s)
-    pivots: dict[int, int] = {}
-    if s > 0:
-        for col in tgt.matrix(s - 1).transpose().row_bits:
-            echelon_insert(pivots, col)
-    rank = 0
-    for v in src.rep_vectors:
-        w = _map_vector(index_map, v)
-        if d_out.apply(w):
-            raise AssertionError("multiplication by a is not a chain map here")
-        if echelon_insert(pivots, w):
-            rank += 1
-    return rank
+    """Rank of multiplication by a on cohomology, Ext(s, d) -> Ext(s, d+(0,-1)).
+
+    Multiplying by a keeps every bar word and only raises its a-exponent, so
+    on word bases it is the same-level case of _truncation_map.
+    """
+    src = get_complex(d, n, invert_u, max_dim)
+    tgt = get_complex(RO2Degree(d.p, d.q - 1), n, invert_u, max_dim)
+    return _image_in_lower(src, tgt, s, src.cohomology(s).representatives)[0]
 
 
 @dataclass(frozen=True)

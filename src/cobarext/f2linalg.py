@@ -18,6 +18,13 @@ def lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def bits(v: int):
+    """Indices of the set bits of v, ascending."""
+    while v:
+        yield (v & -v).bit_length() - 1
+        v &= v - 1
+
+
 def echelon_insert(pivots: dict[int, int], v: int) -> int:
     """Reduce v against an echelon set keyed by pivot column; insert if nonzero.
 
@@ -82,10 +89,8 @@ class F2Matrix:
     def transpose(self) -> F2Matrix:
         cols = [0] * self.cols
         for i, r in enumerate(self.row_bits):
-            while r:
-                j = lowest_bit(r)
+            for j in bits(r):
                 cols[j] |= 1 << i
-                r &= r - 1
         return F2Matrix(self.cols, self.rows, tuple(cols))
 
     def mul(self, other: F2Matrix) -> F2Matrix:
@@ -95,11 +100,8 @@ class F2Matrix:
         out = []
         for r in self.row_bits:
             acc = 0
-            rr = r
-            while rr:
-                j = lowest_bit(rr)
+            for j in bits(r):
                 acc ^= other.row_bits[j]
-                rr &= rr - 1
             out.append(acc)
         return F2Matrix(self.rows, other.cols, tuple(out))
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from . import cobar
-from .grading import CobarMonomial, RO2Degree, binom_mod2
+from .grading import CobarMonomial, RO2Degree, binom_mod2, power_label
 from .hopf import TruncationLevel, check_level
 
 
@@ -89,12 +90,12 @@ class EinftyMonomial:
     def label(self) -> str:
         parts = []
         if self.m:
-            parts.append("a" if self.m == 1 else f"a^{self.m}")
+            parts.append(power_label("a", self.m))
         if self.k:
-            parts.append("u" if self.k == 1 else f"u^{self.k}")
+            parts.append(power_label("u", self.k))
         for r, i in enumerate(self.powers):
             if i:
-                parts.append(f"y_{r}" if i == 1 else f"y_{r}^{i}")
+                parts.append(power_label(f"y_{r}", i))
         return " ".join(parts) if parts else "1"
 
 
@@ -144,37 +145,28 @@ def _index_bound(n: TruncationLevel, p: int) -> int:
     return bound
 
 
+def _y_monomials(r_top: int, s: int, d: RO2Degree, condition) -> list[EinftyMonomial]:
+    """All monomials of filtration s and degree d with y-indices below r_top
+    and a-exponent >= 0 that pass condition, in sort_key order."""
+    out = []
+    # a choice of s weights 2^r with repetition is a monomial y_I, |I| = s
+    for ws in combinations_with_replacement([1 << r for r in range(r_top)], s):
+        w = sum(ws)
+        k = d.p - w
+        m = w - k - d.q
+        if m < 0:
+            continue
+        powers = tuple(ws.count(1 << r) for r in range(ws[-1].bit_length())) if ws else ()
+        mono = EinftyMonomial(m, k, powers)
+        if condition(mono):
+            out.append(mono)
+    return sorted(out, key=EinftyMonomial.sort_key)
+
+
 def _monomials(n: TruncationLevel, s: int, d: RO2Degree, condition) -> list[EinftyMonomial]:
     """All monomials of filtration s, degree d, u-exponent >= 0, passing condition."""
-    out = []
-    r_top = _index_bound(n, d.p)
-    powers = [0] * r_top
-
-    def rec(r: int, left: int):
-        if r == r_top:
-            if left:
-                return
-            w = sum(i << rr for rr, i in enumerate(powers))
-            k = d.p - w
-            if k < 0:
-                return
-            m = w - k - d.q
-            if m < 0:
-                return
-            trimmed = list(powers)
-            while trimmed and trimmed[-1] == 0:
-                trimmed.pop()
-            mono = EinftyMonomial(m, k, tuple(trimmed))
-            if condition(mono):
-                out.append(mono)
-            return
-        for i in range(left + 1):
-            powers[r] = i
-            rec(r + 1, left - i)
-        powers[r] = 0
-
-    rec(0, s)
-    return sorted(out, key=EinftyMonomial.sort_key)
+    return _y_monomials(_index_bound(n, d.p), s, d,
+                        lambda mono: mono.k >= 0 and condition(mono))
 
 
 def einfty_basis(n: TruncationLevel, s: int, d: RO2Degree) -> list[EinftyMonomial]:
@@ -184,12 +176,9 @@ def einfty_basis(n: TruncationLevel, s: int, d: RO2Degree) -> list[EinftyMonomia
 
 
 def completed_admissible(mono: EinftyMonomial) -> bool:
-    """Basis condition for the completed limit page (u inverted, all levels)."""
-    j = mono.min_index()
-    if j is None:
-        return mono.k == 0
-    bound = 2 ** (j + 1)
-    return mono.m <= bound - 1 and mono.k % bound == 0
+    """Basis condition for the completed limit page (u inverted, all levels):
+    the untruncated condition, read for any sign of the u-exponent."""
+    return mono.admissible(None)
 
 
 def completed_basis(s: int, d: RO2Degree) -> list[EinftyMonomial]:
@@ -198,37 +187,8 @@ def completed_basis(s: int, d: RO2Degree) -> list[EinftyMonomial]:
     Finite because the a-exponent m = 2*weight - (p+q) must land in
     [0, 2^(min index + 1) - 1], which bounds the usable y-indices.
     """
-    if s == 0:
-        if d.p == 0 and -d.q >= 0:
-            return [EinftyMonomial(-d.q, 0, ())]
-        return []
-    out = []
     r_top = max(4, (abs(d.p) + abs(d.q) + 2).bit_length() + 1) + 1
-    powers = [0] * r_top
-
-    def rec(r: int, left: int):
-        if r == r_top:
-            if left:
-                return
-            w = sum(i << rr for rr, i in enumerate(powers))
-            k = d.p - w
-            m = w - k - d.q
-            if m < 0:
-                return
-            trimmed = list(powers)
-            while trimmed and trimmed[-1] == 0:
-                trimmed.pop()
-            mono = EinftyMonomial(m, k, tuple(trimmed))
-            if completed_admissible(mono):
-                out.append(mono)
-            return
-        for i in range(left + 1):
-            powers[r] = i
-            rec(r + 1, left - i)
-        powers[r] = 0
-
-    rec(0, s)
-    return sorted(out, key=EinftyMonomial.sort_key)
+    return _y_monomials(r_top, s, d, completed_admissible)
 
 
 def xadic_stage(n: TruncationLevel, t: int, s: int, d: RO2Degree) -> list[EinftyMonomial]:
@@ -378,7 +338,7 @@ def verify_vanishing(p_range: tuple[int, int] = (-8, 8),
                 levels = _vanishing_levels(s, max_abs_p)
                 report = cobar.limit_ext_report(s, d, levels, max_dim)
                 if s == 0 and p == 0:
-                    expected_dim, expected_basis = 1, (f"a^{-q}" if q != -1 else "a",)
+                    expected_dim, expected_basis = 1, (power_label("a", -q),)
                 else:
                     expected_dim, expected_basis = 0, ()
                 entries.append(VanishingEntry(
@@ -412,18 +372,30 @@ class EinftyReport:
         return not self.mismatches
 
 
+def _einfty_cell(args):
+    n, s, p, q, max_dim = args
+    d = RO2Degree(p, q)
+    got = cobar.ext_dim(s, d, n, False, max_dim).dim
+    return s, p, q, got, len(einfty_basis(n, s, d))
+
+
 def verify_einfty(n: TruncationLevel, window: int, s_max: int,
-                  max_dim: int = cobar.DEFAULT_MAX_DIM) -> EinftyReport:
-    """Exhaustively compare cobar cohomology dims with the closed-form counts."""
+                  max_dim: int = cobar.DEFAULT_MAX_DIM, map_fn=map) -> EinftyReport:
+    """Exhaustively compare cobar cohomology dims with the closed-form counts.
+
+    map_fn(fn, cells) must return results in cell order; a process pool's
+    ordered map fits, since _einfty_cell pickles.
+    """
+    cells = (
+        (n, s, p, q, max_dim)
+        for s in range(s_max + 1)
+        for p in range(-window, window + 1)
+        for q in range(-window, window + 1)
+    )
     mismatches = []
     checked = 0
-    for s in range(s_max + 1):
-        for p in range(-window, window + 1):
-            for q in range(-window, window + 1):
-                d = RO2Degree(p, q)
-                got = cobar.ext_dim(s, d, n, False, max_dim).dim
-                want = len(einfty_basis(n, s, d))
-                checked += 1
-                if got != want:
-                    mismatches.append(EinftyMismatch(n, s, p, q, got, want))
+    for s, p, q, got, want in map_fn(_einfty_cell, cells):
+        checked += 1
+        if got != want:
+            mismatches.append(EinftyMismatch(n, s, p, q, got, want))
     return EinftyReport(n, window, s_max, checked, tuple(mismatches))

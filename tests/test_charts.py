@@ -22,6 +22,10 @@ def test_integer_stem_anchors():
     assert {c: v for c, v in by_cell.items() if c[0] == 1} == {
         (1, 1): ["a^2 y_1"]}
     assert by_cell[(2, 2)] == ["u^2 y_0^2"]
+    # a stem window, fed through any ordered map, is a slice of the chart
+    window = charts.integer_stem_chart(
+        2, 3, 1, map_fn=lambda fn, stems: [fn(t) for t in reversed(stems)][::-1])
+    assert window == [d for d in charts.integer_stem_chart(2, 3) if d.stem >= 1]
 
 
 def test_dot_labels_roundtrip():

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 BASE = [sys.executable, "-m", "cobarext"]
 
@@ -188,3 +191,53 @@ def test_bad_range_is_usage_error():
     assert run("ext-table", "--n", "1", "--p", "3..1").returncode == 2
     assert run("ext-table", "--n", "1", "--p", "junk").returncode == 2
     assert run("ext-table", "--n", "0", "--p", "0..0").returncode == 2
+
+
+def test_oversized_slice_exits_2():
+    r = run("ext", "--n", "inf", "--s", "3", "--p", "200", "--q", "0")
+    assert r.returncode == 2
+    assert "error: slice s=3 exceeds 200000 monomials" in r.stderr
+
+
+# SHA-256 of stdout for fast invocations of every subcommand, recorded before
+# the CLI was rewired onto the library verifiers; never regenerate them
+PINNED_STDOUT = [
+    (('verify', 'einfty', '--n', '2', '--window', '5', '--smax', '4', '--jobs', '1'),
+     "3ba785ee8169a262fabd193356f0beab75c0916711b0b3f705349394b1685648"),
+    (('verify', 'einfty', '--n', 'inf', '--window', '5', '--smax', '4', '--jobs', '2'),
+     "6082eceeb2b9d74a008b6f8f96597e549de5aaef40aeb57dea4beaa479aa89fc"),
+    (('verify', 'axioms', '--nmax', '2', '--window', '3'),
+     "56ffeead95907adf64d223e482dba40fc5ddf8451f3a170a05d4ad7d7b74465a"),
+    (('verify', 'coboundary', '--rmax', '1', '--mmax', '1', '--nmax', '2'),
+     "491c4ef03f0c322aa0879d388ecd5473f6d6d21e349b4769eebca996246155fc"),
+    (('verify', 'vanishing', '--p', '-2..2', '--budget', '-3..-1', '--smax', '2'),
+     "67e2f3a0991cb48fd29221c499fb69f24746c5ec75afffa57d92447498c9c90b"),
+    (('verify', 'localization', '--window', '2', '--smax', '2'),
+     "d8b15934874f741f5a628dd1fe658658d3f45eba49485e0d7e7fe4bf91c34d1e"),
+    (('chart', '--stems', '0..5', '--smax', '5', '--jobs', '1'),
+     "b3fb87242585d1d2208499ad0f45942881dc8dc49c7b1b7d96b56a71c5561996"),
+    (('chart', '--stems', '-2..7', '--smax', '6', '--format', 'json', '--jobs', '2'),
+     "ede5db3a9df723731fc3f211572d322b9ed2ebfc1ca19ea52a830fd2967fac1d"),
+    (('chart', '--stems', '0..7', '--smax', '8', '--conjectural-d2', '--format', 'svg', '--jobs', '1'),
+     "346b5e225fb9fbf5bc892fe623c6e9d4f7b2112e876bd629cee7c0b662ee0606"),
+    (('chart', '--sigma', '2', '--stems', '0..1', '--smax', '3', '--n', '4'),
+     "bca461420332a4282e89adbd503fc8581c293b626a94ca7c2c14f5d1fbea9911"),
+    (('limit-ext', '--s', '1', '--p', '1', '--q', '1'),
+     "7c4b7ba327b850835c8b6e2c76b53dd0d73443416015d56c794eb94cbf04c8f2"),
+    (('ext-table', '--n', '2', '--s', '0..2', '--p', '-3..3', '--q', '-3..3', '--jobs', '1'),
+     "fac135666edf92a54d24a97e1b53c5bada92ef79f76b74aa6f83cb3c581acfb3"),
+    (('xadic', '--n', '2', '--t', '0', '--s', '2', '--p', '3', '--q', '-1'),
+     "1ad326b55d946d5a1d0150f419adb2bb19b27cd08435c79d41ff0043b0d0dad4"),
+    (('etar', '--theta', '4', '3'),
+     "843f3549c693faa2dae2857d0b61bfa055f2b86bff63653f434d223626591fab"),
+    (('etar', 'a^2 u^3'),
+     "d906de72f66b05408fb1cc555f4951b6cd71b219dc1a6da8a9607ac7ab376804"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in PINNED_STDOUT])
+def test_pinned_output_bytes(argv, digest):
+    r = subprocess.run(BASE + list(argv), capture_output=True)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout).hexdigest() == digest

@@ -5,6 +5,7 @@ import pytest
 from cobarext.f2linalg import (
     CompositionNonzeroError,
     F2Matrix,
+    bits,
     cohomology_dim,
     echelon_insert,
     reduce_vector,
@@ -139,3 +140,12 @@ def test_mul_and_apply_agree():
         prod = m1.mul(m2)
         for j in range(a):
             assert prod.apply(1 << j) == m1.apply(m2.apply(1 << j))
+
+
+def test_bits_ascending():
+    assert list(bits(0)) == []
+    assert list(bits(0b101001)) == [0, 3, 5]
+    rng = random.Random(7)
+    for _ in range(50):
+        v = rng.getrandbits(200)
+        assert list(bits(v)) == [j for j in range(200) if (v >> j) & 1]

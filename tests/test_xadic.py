@@ -126,6 +126,10 @@ def test_vanishing_examples():
 def test_einfty_oracle_sample():
     report = xadic.verify_einfty(1, 5, 3)
     assert report.ok and report.checked == 4 * 11 * 11
+    # an ordered map that evaluates the cells in another order changes nothing
+    assert xadic.verify_einfty(
+        1, 5, 3, map_fn=lambda fn, cells: [fn(c) for c in list(cells)[::-1]][::-1]
+    ) == report
 
 
 def test_predicted_a_rank_matches_cobar():
