@@ -250,18 +250,17 @@ def _truncation_map(src: SliceComplex, dst: SliceComplex, s: int) -> list[int | 
     """Index map for slotwise reduction from a higher level to a lower one.
 
     Between two complexes at the same level every word survives, and the map
-    is the inclusion of word bases (multiplication by a, for instance)."""
+    is the inclusion of word bases (multiplication by a, for instance).
+    Words are looked up first; only a word missing downstairs is tested
+    against the letter cap, and it must exceed it."""
     cap = letter_cap(dst.n)
     dst_index = dst.index(s)
     out: list[int | None] = []
     for w in src.words(s):
-        if cap is not None and any(e > cap for e in w):
-            out.append(None)
-        else:
-            t = dst_index.get(w)
-            if t is None:
-                raise AssertionError(f"truncated word {w} missing downstairs")
-            out.append(t)
+        t = dst_index.get(w)
+        if t is None and (cap is None or max(w, default=0) <= cap):
+            raise AssertionError(f"truncated word {w} missing downstairs")
+        out.append(t)
     return out
 
 

@@ -122,35 +122,41 @@ class F2Matrix:
         return n
 
     def rref(self) -> tuple[list[int], list[int]]:
-        """Reduced row-echelon rows and their pivot columns, ascending."""
+        """Reduced row-echelon rows and their pivot columns, ascending.
+
+        Back-substitution runs from the highest pivot down, so every row it
+        xors in is already reduced: that clears one pivot bit and sets no
+        other.  After forward elimination the cost is one row xor per set
+        pivot-column bit of the echelon rows.
+        """
         pivots: dict[int, int] = {}
         for r in self.row_bits:
             echelon_insert(pivots, r)
         cols = sorted(pivots)
-        # back-substitute so each pivot column appears in exactly one row
-        for c in cols:
+        done = 0  # pivot columns above the current one, all reduced
+        for c in reversed(cols):
             row = pivots[c]
-            for c2 in cols:
-                if c2 == c:
-                    continue
-                if (pivots[c2] >> c) & 1:
-                    pivots[c2] ^= row
+            for c2 in bits(row & done):
+                row ^= pivots[c2]
+            pivots[c] = row
+            done |= 1 << c
         return [pivots[c] for c in cols], cols
 
     def kernel_basis(self) -> list[int]:
-        """Basis of the null space, one vector per free column, ascending."""
+        """Basis of the null space, one vector per free column, ascending.
+
+        The vector for free column f is e_f plus e_c for every reduced row
+        (pivot c) with a 1 in column f, so it is the canonical reduced basis.
+        It is assembled by walking the free-column bits of each reduced row:
+        after rref the cost is proportional to those bits.
+        """
         rref_rows, pivot_cols = self.rref()
-        pivot_set = set(pivot_cols)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            v = 1 << f
-            for row, c in zip(rref_rows, pivot_cols):
-                if (row >> f) & 1:
-                    v |= 1 << c
-            basis.append(v)
-        return basis
+        free = ((1 << self.cols) - 1) ^ sum(1 << c for c in pivot_cols)
+        basis = {f: 1 << f for f in bits(free)}
+        for row, c in zip(rref_rows, pivot_cols):
+            for f in bits(row & free):
+                basis[f] |= 1 << c
+        return list(basis.values())
 
 
 @dataclass(frozen=True)

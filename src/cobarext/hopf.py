@@ -17,6 +17,7 @@ symmetric difference (everything is over F2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -54,8 +55,12 @@ def comult_full(e: int, n: TruncationLevel) -> frozenset[tuple[int, int]]:
     return frozenset((i, e - i) for i in range(e + 1) if binom_mod2(e, i))
 
 
+@functools.cache
 def comult_reduced(e: int, n: TruncationLevel) -> frozenset[tuple[int, int]]:
-    """Splits of a bar letter x^e with both factors nontrivial."""
+    """Splits of a bar letter x^e with both factors nontrivial.
+
+    Memoised: slice assembly asks for it once per letter of every word.
+    An out-of-range letter still raises on every call."""
     check_letter(e, n)
     return frozenset((i, e - i) for i in range(1, e) if binom_mod2(e, i))
 

@@ -145,16 +145,18 @@ def _index_bound(n: TruncationLevel, p: int) -> int:
     return bound
 
 
-def _y_monomials(r_top: int, s: int, d: RO2Degree, condition) -> list[EinftyMonomial]:
-    """All monomials of filtration s and degree d with y-indices below r_top
-    and a-exponent >= 0 that pass condition, in sort_key order."""
+def _y_monomials(r_top: int, s: int, d: RO2Degree, condition,
+                 k_min: int | None = None) -> list[EinftyMonomial]:
+    """All monomials of filtration s and degree d with y-indices below r_top,
+    a-exponent >= 0 and u-exponent >= k_min (any when None) that pass
+    condition, in sort_key order."""
     out = []
     # a choice of s weights 2^r with repetition is a monomial y_I, |I| = s
     for ws in combinations_with_replacement([1 << r for r in range(r_top)], s):
         w = sum(ws)
         k = d.p - w
         m = w - k - d.q
-        if m < 0:
+        if m < 0 or (k_min is not None and k < k_min):
             continue
         powers = tuple(ws.count(1 << r) for r in range(ws[-1].bit_length())) if ws else ()
         mono = EinftyMonomial(m, k, powers)
@@ -165,8 +167,7 @@ def _y_monomials(r_top: int, s: int, d: RO2Degree, condition) -> list[EinftyMono
 
 def _monomials(n: TruncationLevel, s: int, d: RO2Degree, condition) -> list[EinftyMonomial]:
     """All monomials of filtration s, degree d, u-exponent >= 0, passing condition."""
-    return _y_monomials(_index_bound(n, d.p), s, d,
-                        lambda mono: mono.k >= 0 and condition(mono))
+    return _y_monomials(_index_bound(n, d.p), s, d, condition, k_min=0)
 
 
 def einfty_basis(n: TruncationLevel, s: int, d: RO2Degree) -> list[EinftyMonomial]:
@@ -351,7 +352,7 @@ def verify_vanishing(p_range: tuple[int, int] = (-8, 8),
 
 @dataclass(frozen=True)
 class EinftyMismatch:
-    n: int
+    n: TruncationLevel
     s: int
     p: int
     q: int

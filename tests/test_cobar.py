@@ -110,6 +110,25 @@ def test_limit_detects_late_birth():
     assert rep.stabilized and rep.limit_dim == 1
 
 
+def test_truncation_map_drops_exactly_the_words_above_the_cap():
+    hi = cobar.SliceComplex(2, True, 1, 0)
+    lo = cobar.SliceComplex(1, True, 1, 0)
+    assert cobar._truncation_map(hi, lo, 1) == [0, None, None]  # [x], [x^2], [x^3]
+    for s in (2, 3):
+        index = lo.index(s)
+        got = cobar._truncation_map(hi, lo, s)
+        assert got == [None if max(w) > 1 else index[w] for w in hi.words(s)]
+        assert sorted(t for t in got if t is not None) == list(range(len(index)))
+
+
+def test_truncation_map_rejects_a_missing_word_within_the_cap():
+    # the higher E-cut drops [x] downstairs although x is a legal letter there
+    hi = cobar.SliceComplex(2, True, 1, 0)
+    lo = cobar.SliceComplex(1, True, 1, 2)
+    with pytest.raises(AssertionError, match="missing downstairs"):
+        cobar._truncation_map(hi, lo, 1)
+
+
 def test_a_multiplication_examples():
     d = RO2Degree(1, 1)
     assert cobar.ext_dim(1, d, 2).dim == 1

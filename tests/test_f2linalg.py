@@ -12,18 +12,23 @@ from cobarext.f2linalg import (
 )
 
 
+def packed(row):
+    return sum(b << j for j, b in enumerate(row))
+
+
 def mat(rows_as_lists, cols=None):
     rows = len(rows_as_lists)
     cols = cols if cols is not None else (len(rows_as_lists[0]) if rows else 0)
-    bits = tuple(sum(b << j for j, b in enumerate(row)) for row in rows_as_lists)
-    return F2Matrix(rows, cols, bits)
+    return F2Matrix(rows, cols, tuple(packed(row) for row in rows_as_lists))
 
 
-def naive_rank(rows_as_lists, cols):
-    """Independent oracle: textbook Gaussian elimination on 0/1 lists."""
+def naive_rref(rows_as_lists, cols):
+    """Independent oracle: textbook Gauss-Jordan elimination on 0/1 lists,
+    returning the nonzero reduced rows and their pivot columns."""
     m = [list(r) for r in rows_as_lists]
-    rank = 0
+    pivots = []
     for c in range(cols):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
@@ -31,8 +36,43 @@ def naive_rank(rows_as_lists, cols):
         for i in range(len(m)):
             if i != rank and m[i][c]:
                 m[i] = [(x + y) % 2 for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def naive_kernel(rows_as_lists, cols):
+    """Canonical kernel basis: for each free column f ascending, e_f plus e_c
+    for every pivot c whose reduced row has a 1 in column f."""
+    rref, pivots = naive_rref(rows_as_lists, cols)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [0] * cols
+        v[f] = 1
+        for row, c in zip(rref, pivots):
+            if row[f]:
+                v[c] = 1
+        basis.append(v)
+    return basis
+
+
+def test_rref_and_kernel_match_textbook_oracle_exactly():
+    """rref() rows, pivots and kernel_basis() vectors are the canonical ones,
+    in order; output bytes depend on the exact vectors, not only their span."""
+    rng = random.Random(20261018)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 40), (40, 1), (40, 40), (3, 37), (37, 3)]
+    shapes += [(rng.randrange(0, 41), rng.randrange(0, 41)) for _ in range(300)]
+    for rows, cols in shapes:
+        density = rng.choice([0.0, 0.05, 0.2, 0.5, 0.9])
+        entries = [[int(rng.random() < density) for _ in range(cols)]
+                   for _ in range(rows)]
+        m = mat(entries, cols)
+        want_rows, want_pivots = naive_rref(entries, cols)
+        got_rows, got_pivots = m.rref()
+        assert got_pivots == want_pivots
+        assert got_rows == [packed(r) for r in want_rows]
+        assert m.kernel_basis() == [packed(v) for v in naive_kernel(entries, cols)]
 
 
 def test_rank_examples():
@@ -48,7 +88,7 @@ def test_rank_against_naive_oracle():
         cols = rng.randrange(0, 13)
         entries = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
         m = mat(entries, cols)
-        assert m.rank() == naive_rank(entries, cols)
+        assert m.rank() == len(naive_rref(entries, cols)[1])
         assert m.rank() == m.transpose().rank()
 
 
