@@ -11,6 +11,13 @@ Slices with the same word data are shared: matrices depend on q only
 through the cut E >= ceil((p+q)/2) (the alpha >= 0 constraint, stable
 under the differential), and with u inverted they depend on p only mod
 2^n (binomial parities below x^(2^n) see beta mod 2^n only).
+
+A SliceComplex memoises, per homological degree s, its word list and word
+index, its differential matrix, its cohomology, and the images of its
+cohomology in lower complexes (tower maps and multiplication by a), keyed by
+the lower complex's cache key and s: (n, invert_u, p_key, e_floor, s).  No
+memo holds a lower complex, and all of it is evicted with the complex from
+the shared LRU.
 """
 
 from __future__ import annotations
@@ -94,17 +101,18 @@ class SliceComplex:
         self.p_key = p_key
         self.e_floor = e_floor
         self.max_dim = max_dim
-        self._words: dict[int, list[tuple[int, ...]]] = {}
+        self._words: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._matrices: dict[int, F2Matrix] = {}
         self._cohom: dict[int, CohomologyResult] = {}
+        self._images: dict[tuple, tuple[int, tuple[int, ...]]] = {}
 
     def beta_of(self, word: tuple[int, ...]) -> int:
         return self.p_key - sum(word)
 
-    def words(self, s: int) -> list[tuple[int, ...]]:
+    def words(self, s: int) -> tuple[tuple[int, ...], ...]:
         if s < 0:
-            return []
+            return ()
         got = self._words.get(s)
         if got is not None:
             return got
@@ -123,7 +131,7 @@ class SliceComplex:
                 raise ComplexTooLargeError(
                     f"slice s={s} exceeds {self.max_dim} monomials"
                 )
-        self._words[s] = out
+        self._words[s] = out = tuple(out)
         self._index[s] = {w: i for i, w in enumerate(out)}
         return out
 
@@ -219,16 +227,21 @@ def differential(s: int, d: RO2Degree, n: TruncationLevel, invert_u: bool = Fals
 
 @dataclass(frozen=True)
 class ExtResult:
+    """Cohomology of one slice.
+
+    `words` is the slice's word basis in the canonical order that `basis`
+    lists and that the bits of `rep_vectors` index.  Monomials are built on
+    demand, only for the words a representative uses."""
     s: int
     degree: RO2Degree
     n: TruncationLevel
     invert_u: bool
     dim: int
     rep_vectors: tuple[int, ...]
-    basis: tuple[CobarMonomial, ...]
+    words: tuple[tuple[int, ...], ...]
 
     def rep_monomials(self, v: int) -> list[CobarMonomial]:
-        return [self.basis[j] for j in bits(v)]
+        return [_monomial(self.words[j], self.degree) for j in bits(v)]
 
     @property
     def rep_labels(self) -> tuple[str, ...]:
@@ -240,10 +253,7 @@ def ext_dim(s: int, d: RO2Degree, n: TruncationLevel, invert_u: bool = False,
     """Cohomology of the slice at s: dimension plus representative cocycles."""
     cx = get_complex(d, n, invert_u, max_dim)
     res = cx.cohomology(s)
-    return ExtResult(
-        s, d, n, invert_u, res.dim, res.representatives,
-        tuple(_monomial(w, d) for w in cx.words(s)),
-    )
+    return ExtResult(s, d, n, invert_u, res.dim, res.representatives, cx.words(s))
 
 
 def _truncation_map(src: SliceComplex, dst: SliceComplex, s: int) -> list[int | None]:
@@ -302,10 +312,17 @@ class LimitReport:
         }
 
 
-def _image_in_lower(hi: SliceComplex, lo: SliceComplex, s: int,
-                    reps: tuple[int, ...]) -> tuple[int, list[int]]:
+def _image_in_lower(hi: SliceComplex, lo: SliceComplex,
+                    s: int) -> tuple[int, tuple[int, ...]]:
     """Dimension and representatives of the image of H(hi) in H(lo) at slice s,
-    under the map of word bases that _truncation_map gives."""
+    under the map of word bases that _truncation_map gives.
+
+    Memoised on hi under lo's cache key and s; a call that raises stores
+    nothing."""
+    key = (lo.n, lo.invert_u, lo.p_key, lo.e_floor, s)
+    got = hi._images.get(key)
+    if got is not None:
+        return got
     index_map = _truncation_map(hi, lo, s)
     d_out = lo.matrix(s)
     pivots: dict[int, int] = {}
@@ -313,14 +330,15 @@ def _image_in_lower(hi: SliceComplex, lo: SliceComplex, s: int,
         for col in lo.matrix(s - 1).transpose().row_bits:
             echelon_insert(pivots, col)
     residues = []
-    for v in reps:
+    for v in hi.cohomology(s).representatives:
         w = _map_vector(index_map, v)
         if d_out.apply(w):
             raise AssertionError("the word map sent a cocycle to a non-cocycle")
         r = echelon_insert(pivots, w)
         if r:
             residues.append(r)
-    return len(residues), residues
+    got = hi._images[key] = (len(residues), tuple(residues))
+    return got
 
 
 def limit_ext_report(s: int, d: RO2Degree, levels, max_dim: int = DEFAULT_MAX_DIM) -> LimitReport:
@@ -344,17 +362,13 @@ def limit_ext_report(s: int, d: RO2Degree, levels, max_dim: int = DEFAULT_MAX_DI
     results = [cx.cohomology(s) for cx in complexes]
     dims = tuple(r.dim for r in results)
     image_dims = []
-    image_residues: list[list[int]] = []
+    image_residues: list[tuple[int, ...]] = []
     for k in range(len(levels) - 1):
-        dim_k, residues = _image_in_lower(
-            complexes[k + 1], complexes[k], s, results[k + 1].representatives
-        )
+        dim_k, residues = _image_in_lower(complexes[k + 1], complexes[k], s)
         image_dims.append(dim_k)
         image_residues.append(residues)
     if len(levels) >= 3:
-        skip, _ = _image_in_lower(
-            complexes[-1], complexes[-3], s, results[-1].representatives
-        )
+        skip, _ = _image_in_lower(complexes[-1], complexes[-3], s)
         e1, e2 = image_dims[-2], image_dims[-1]
         stabilized = e1 == e2 == skip
         rule = "three-level"
@@ -396,7 +410,7 @@ def a_multiplication_rank(s: int, d: RO2Degree, n: TruncationLevel,
     """
     src = get_complex(d, n, invert_u, max_dim)
     tgt = get_complex(RO2Degree(d.p, d.q - 1), n, invert_u, max_dim)
-    return _image_in_lower(src, tgt, s, src.cohomology(s).representatives)[0]
+    return _image_in_lower(src, tgt, s)[0]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from cobarext import cobar
-from cobarext.grading import CobarMonomial, RO2Degree
+from cobarext.f2linalg import bits
+from cobarext.grading import CobarMonomial, RO2Degree, element_label
 from cobarext.xadic import einfty_basis
 
 
@@ -168,3 +171,79 @@ def test_localization_identity():
 def test_complex_guard():
     with pytest.raises(cobar.ComplexTooLargeError):
         cobar.ext_dim(6, RO2Degree(0, 0), 3, invert_u=True, max_dim=1000)
+
+
+def _window_reports(cells):
+    return [cobar.limit_ext_report(s, RO2Degree(p, q), levels).to_dict()
+            for s, p, q, levels in cells]
+
+
+TOWER_WINDOW = [
+    (s, p, budget - p, levels)
+    for levels in ((1, 2, 3), (2, 3, 4))
+    for s in range(4)
+    for p in range(-4, 5)
+    for budget in range(-4, 0)
+]
+
+
+def test_tower_image_memo_keeps_reports_and_maps_each_triple_once(monkeypatch):
+    def key(cx):
+        return (cx.n, cx.invert_u, cx.p_key, cx.e_floor)
+
+    maps = Counter()
+    truncation_map = cobar._truncation_map
+
+    def counted(src, dst, s):
+        maps[key(src), key(dst), s] += 1
+        return truncation_map(src, dst, s)
+
+    monkeypatch.setattr(cobar, "_truncation_map", counted)
+    cobar._shared_complex.cache_clear()
+    cold = _window_reports(TOWER_WINDOW)
+    warm = _window_reports(TOWER_WINDOW)
+    assert maps and set(maps.values()) == {1}
+    # every report asks for three images; the window shares most of them
+    assert len(maps) < 3 * len(TOWER_WINDOW)
+    # memos filled in another order must give the same reports
+    cobar._shared_complex.cache_clear()
+    backwards = _window_reports(TOWER_WINDOW[::-1])[::-1]
+    assert cold == warm == backwards
+    assert any(r["stabilized"] and r["basis"] for r in cold)
+
+
+def test_tower_image_memo_stores_no_error():
+    hi = cobar.SliceComplex(2, True, 1, 0)
+    lo = cobar.SliceComplex(1, True, 1, 2)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="missing downstairs"):
+            cobar._image_in_lower(hi, lo, 1)
+    assert not hi._images
+
+
+def _basis_window():
+    for n in (1, 2, 3, None):
+        for invert_u in (False, True) if n is not None else (False,):
+            for s in range(5):
+                for p in range(-8, 9):
+                    for q in range(-8, 9):
+                        yield n, invert_u, s, RO2Degree(p, q)
+
+
+def test_every_basis_word_is_a_valid_monomial():
+    # ext_dim builds monomials only for representative words, so the
+    # alpha >= 0 validation of every basis word is checked here instead
+    for n, invert_u, s, d in _basis_window():
+        assert all(m.degree() == d for m in cobar.basis(s, d, n, invert_u))
+
+
+def test_rep_monomials_are_the_basis_entries_of_the_vector():
+    for n, invert_u, s, d in _basis_window():
+        if n == 3 and invert_u and s == 4:
+            continue  # assembling their s = 5 targets takes about 10 s
+        b = cobar.basis(s, d, n, invert_u)
+        res = cobar.ext_dim(s, d, n, invert_u)
+        old = tuple(element_label([b[j] for j in bits(v)]) for v in res.rep_vectors)
+        for v in res.rep_vectors:
+            assert res.rep_monomials(v) == [b[j] for j in bits(v)]
+        assert res.rep_labels == old

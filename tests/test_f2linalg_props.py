@@ -1,0 +1,83 @@
+"""Property tests for the F2 invariants of f2linalg.
+
+Examples are derandomized and no example database is kept, so every run
+checks the same matrices.  Hypothesis still caches the constants it reads
+from local source files, and its pytest plugin does so while collecting, so
+its home directory is moved to the system temp directory at import; no
+.hypothesis/ directory appears in the working tree.
+"""
+
+import os
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+
+from cobarext.f2linalg import F2Matrix, bits, cohomology_dim  # noqa: E402
+
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "cobarext-hypothesis"))
+PROPS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+@st.composite
+def matrices(draw, max_rows=12, max_cols=12):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    row_bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return F2Matrix(rows, cols, tuple(row_bits))
+
+
+@st.composite
+def cochain_pairs(draw):
+    """(d_in, d_out) with d_out . d_in = 0: every row of d_out is a sum of
+    vectors orthogonal to all columns of d_in."""
+    d_in = draw(matrices())
+    annihilator = d_in.transpose().kernel_basis()
+    masks = draw(st.lists(st.integers(0, (1 << len(annihilator)) - 1), max_size=8))
+    rows = []
+    for mask in masks:
+        row = 0
+        for k in bits(mask):
+            row ^= annihilator[k]
+        rows.append(row)
+    return d_in, F2Matrix(len(rows), d_in.rows, tuple(rows))
+
+
+@PROPS
+@given(matrices())
+def test_rank_plus_nullity_is_cols(m):
+    assert m.rank() + len(m.kernel_basis()) == m.cols
+
+
+@PROPS
+@given(matrices())
+def test_kernel_vectors_are_canonical_and_annihilated(m):
+    _, pivots = m.rref()
+    pivot_mask = sum(1 << c for c in pivots)
+    free = [f for f in range(m.cols) if f not in pivots]
+    kernel = m.kernel_basis()
+    assert len(kernel) == len(free)
+    for f, v in zip(free, kernel):
+        assert m.apply(v) == 0
+        assert v & ~pivot_mask == 1 << f  # e_f plus pivot columns only
+
+
+@PROPS
+@given(matrices())
+def test_rref_is_idempotent(m):
+    rows, pivots = m.rref()
+    again = F2Matrix(len(rows), m.cols, tuple(rows)).rref()
+    assert again == (rows, pivots)
+
+
+@PROPS
+@given(cochain_pairs())
+def test_cohomology_dim_is_cols_minus_ranks(pair):
+    d_in, d_out = pair
+    res = cohomology_dim(d_in, d_out)
+    assert res.dim == d_out.cols - d_out.rank() - d_in.rank()
+    assert len(res.representatives) == res.dim
