@@ -82,8 +82,8 @@ def slice_chart(q_slice: int, stems: tuple[int, int], s_max: int, n: int,
                 max_dim: int = cobar.DEFAULT_MAX_DIM) -> list[ChartDot]:
     """Dots of the completed limit page in one sigma-slice.
 
-    Dimensions come from a certified tower of truncation levels (u inverted);
-    labels come from the completed closed-form names, and the two are
+    Dimensions come from a certified tower of truncation levels (u inverted,
+    Koszul complexes); labels come from the completed closed-form names, and the two are
     required to agree.  A class named y_r is only visible from level r+1
     onward, and a tower sitting entirely below that level would certify a
     false zero, so each cell's window starts at the birth level of its

@@ -12,18 +12,18 @@ through the cut E >= ceil((p+q)/2) (the alpha >= 0 constraint, stable
 under the differential), and with u inverted they depend on p only mod
 2^n (binomial parities below x^(2^n) see beta mod 2^n only).
 
-A SliceComplex memoises, per homological degree s, its word list and word
-index, its differential matrix, its cohomology, and the images of its
-cohomology in lower complexes (tower maps and multiplication by a), keyed by
-the lower complex's cache key and s: (n, invert_u, p_key, e_floor, s).  No
-memo holds a lower complex, and all of it is evicted with the complex from
-the shared LRU.
+A slice complex (SlicesBase: SliceComplex here, KoszulComplex in koszul.py)
+memoises, per s, its chain list and index, its differential matrix, its
+cohomology, and the images of its cohomology in lower complexes of its
+model, keyed by the lower complex's cache key and s.  No memo holds a lower
+complex.  Cobar is the reference: fixed-level Ext and every label come from
+it, while limit_ext_report certifies dims on the Koszul complexes.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .f2linalg import (
     CohomologyResult,
@@ -82,20 +82,14 @@ def _words(s: int, cap: int, hi: int):
     yield from rec(0, hi)
 
 
-class SliceComplex:
-    """Shared word-level cobar data for one (level, invert flag, p-key, E-cut).
-
-    p_key is the actual p when u is not inverted (it bounds E), and
-    p mod 2^n when u is inverted (only binomial parities remain).
-    """
+class SlicesBase:
+    """The memos of one slice complex.  A model supplies `_chains(s)` (its
+    basis in canonical order), `_assemble(s)` (d from slice s to s+1) and
+    `restrict(lower, s)` (the index map into a lower complex, None for
+    chains that map to 0)."""
 
     def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int,
-                 max_dim: int = DEFAULT_MAX_DIM):
-        check_level(n)
-        if invert_u and n is None:
-            raise UnboundedBasisError(
-                "u inverted at the untruncated level: use the limit over levels"
-            )
+                 max_dim: int):
         self.n = n
         self.invert_u = invert_u
         self.p_key = p_key
@@ -107,25 +101,14 @@ class SliceComplex:
         self._cohom: dict[int, CohomologyResult] = {}
         self._images: dict[tuple, tuple[int, tuple[int, ...]]] = {}
 
-    def beta_of(self, word: tuple[int, ...]) -> int:
-        return self.p_key - sum(word)
-
     def words(self, s: int) -> tuple[tuple[int, ...], ...]:
         if s < 0:
             return ()
         got = self._words.get(s)
         if got is not None:
             return got
-        cap = letter_cap(self.n)
-        if self.invert_u:
-            hi = s * cap
-        else:
-            hi = min(self.p_key, s * cap) if cap is not None else self.p_key
-        lo = max(s, self.e_floor)
         out = []
-        for w in _words(s, cap if cap is not None else max(hi, 1), hi):
-            if sum(w) < lo:
-                continue
+        for w in self._chains(s):
             out.append(w)
             if len(out) > self.max_dim:
                 raise ComplexTooLargeError(
@@ -139,37 +122,12 @@ class SliceComplex:
         self.words(s)
         return self._index[s]
 
-    def _coaction_letters(self, beta: int):
-        cap = letter_cap(self.n)
-        top = cap if cap is not None else max(beta, 0)
-        for i in range(1, top + 1):
-            if binom_mod2(beta, i):
-                yield i
-
     def matrix(self, s: int) -> F2Matrix:
-        """Differential from slice s to slice s+1 in the shared word bases."""
+        """Differential from slice s to slice s+1 in the shared chain bases."""
         got = self._matrices.get(s)
-        if got is not None:
-            return got
-        src = self.words(s)
-        tgt_index = self.index(s + 1)
-        rows = [0] * len(tgt_index)
-        for j, word in enumerate(src):
-            beta = self.beta_of(word)
-            for i in self._coaction_letters(beta):
-                t = tgt_index.get((i,) + word)
-                if t is None:
-                    raise AssertionError(f"coaction target missing for {word}, x^{i}")
-                rows[t] ^= 1 << j
-            for slot, e in enumerate(word):
-                for i1, i2 in comult_reduced(e, self.n):
-                    t = tgt_index.get(word[:slot] + (i1, i2) + word[slot + 1:])
-                    if t is None:
-                        raise AssertionError(f"split target missing for {word}")
-                    rows[t] ^= 1 << j
-        mat = F2Matrix(len(rows), len(src), tuple(rows))
-        self._matrices[s] = mat
-        return mat
+        if got is None:
+            got = self._matrices[s] = self._assemble(s)
+        return got
 
     def cohomology(self, s: int) -> CohomologyResult:
         got = self._cohom.get(s)
@@ -184,14 +142,70 @@ class SliceComplex:
         return result
 
 
+class SliceComplex(SlicesBase):
+    """Shared word-level cobar data for one (level, invert flag, p-key, E-cut).
+
+    p_key is the actual p when u is not inverted (it bounds E), and
+    p mod 2^n when u is inverted (only binomial parities remain).
+    """
+
+    def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int,
+                 max_dim: int = DEFAULT_MAX_DIM):
+        check_level(n)
+        if invert_u and n is None:
+            raise UnboundedBasisError(
+                "u inverted at the untruncated level: use the limit over levels"
+            )
+        super().__init__(n, invert_u, p_key, e_floor, max_dim)
+
+    def _chains(self, s: int):
+        cap = letter_cap(self.n)
+        if self.invert_u:
+            hi = s * cap
+        else:
+            hi = min(self.p_key, s * cap) if cap is not None else self.p_key
+        lo = max(s, self.e_floor)
+        for w in _words(s, cap if cap is not None else max(hi, 1), hi):
+            if sum(w) >= lo:
+                yield w
+
+    def _coaction_letters(self, beta: int):
+        cap = letter_cap(self.n)
+        top = cap if cap is not None else max(beta, 0)
+        for i in range(1, top + 1):
+            if binom_mod2(beta, i):
+                yield i
+
+    def _assemble(self, s: int) -> F2Matrix:
+        src = self.words(s)
+        tgt_index = self.index(s + 1)
+        rows = [0] * len(tgt_index)
+        for j, word in enumerate(src):
+            for i in self._coaction_letters(self.p_key - sum(word)):
+                t = tgt_index.get((i,) + word)
+                if t is None:
+                    raise AssertionError(f"coaction target missing for {word}, x^{i}")
+                rows[t] ^= 1 << j
+            for slot, e in enumerate(word):
+                for i1, i2 in comult_reduced(e, self.n):
+                    t = tgt_index.get(word[:slot] + (i1, i2) + word[slot + 1:])
+                    if t is None:
+                        raise AssertionError(f"split target missing for {word}")
+                    rows[t] ^= 1 << j
+        return F2Matrix(len(rows), len(src), tuple(rows))
+
+    def restrict(self, lo: "SliceComplex", s: int) -> list[int | None]:
+        return _truncation_map(self, lo, s)
+
+
 @functools.lru_cache(maxsize=128)
 def _shared_complex(n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int,
                     max_dim: int) -> SliceComplex:
     return SliceComplex(n, invert_u, p_key, e_floor, max_dim)
 
 
-def get_complex(d: RO2Degree, n: TruncationLevel, invert_u: bool,
-                max_dim: int = DEFAULT_MAX_DIM) -> SliceComplex:
+def slice_key(d: RO2Degree, n: TruncationLevel, invert_u: bool) -> tuple:
+    """Cache key (n, invert_u, p_key, e_floor) of the slice complexes of d."""
     check_level(n)
     if invert_u:
         if n is None:
@@ -204,7 +218,12 @@ def get_complex(d: RO2Degree, n: TruncationLevel, invert_u: bool,
     e_floor = max(0, ceil_half(d.p + d.q))
     if not invert_u:
         e_floor = min(e_floor, max(d.p, 0) + 1)
-    return _shared_complex(n, invert_u, p_key, e_floor, max_dim)
+    return n, invert_u, p_key, e_floor
+
+
+def get_complex(d: RO2Degree, n: TruncationLevel, invert_u: bool,
+                max_dim: int = DEFAULT_MAX_DIM) -> SliceComplex:
+    return _shared_complex(*slice_key(d, n, invert_u), max_dim)
 
 
 def _monomial(word: tuple[int, ...], d: RO2Degree) -> CobarMonomial:
@@ -294,7 +313,28 @@ class LimitReport:
     rule: str
     stabilized: bool
     limit_dim: int | None
-    basis_labels: tuple[str, ...]
+    max_dim: int = field(default=DEFAULT_MAX_DIM, repr=False, compare=False)
+
+    @functools.cached_property
+    def basis_labels(self) -> tuple[str, ...]:
+        """Cobar labels of a certified nonzero limit, built on first read: the
+        image of the top level's cobar cohomology in the level below, which
+        must have the certified dimension."""
+        if not self.limit_dim:
+            return ()
+        top, second = (get_complex(self.degree, n, True, self.max_dim)
+                       for n in self.levels[:-3:-1])
+        dim, residues = _image_in_lower(top, second, self.s)
+        if dim != self.limit_dim:
+            raise AssertionError(
+                f"cobar image dim {dim} differs from the certified limit "
+                f"{self.limit_dim} at s={self.s}, d={self.degree}"
+            )
+        words = second.words(self.s)
+        return tuple(
+            element_label([_monomial(words[j], self.degree) for j in bits(v)])
+            for v in residues
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -312,10 +352,11 @@ class LimitReport:
         }
 
 
-def _image_in_lower(hi: SliceComplex, lo: SliceComplex,
+def _image_in_lower(hi: SlicesBase, lo: SlicesBase,
                     s: int) -> tuple[int, tuple[int, ...]]:
     """Dimension and representatives of the image of H(hi) in H(lo) at slice s,
-    under the map of word bases that _truncation_map gives.
+    under the index map that hi.restrict(lo, s) gives; hi and lo are
+    complexes of one model.
 
     Memoised on hi under lo's cache key and s; a call that raises stores
     nothing."""
@@ -323,7 +364,7 @@ def _image_in_lower(hi: SliceComplex, lo: SliceComplex,
     got = hi._images.get(key)
     if got is not None:
         return got
-    index_map = _truncation_map(hi, lo, s)
+    index_map = hi.restrict(lo, s)
     d_out = lo.matrix(s)
     pivots: dict[int, int] = {}
     if s > 0:
@@ -333,7 +374,7 @@ def _image_in_lower(hi: SliceComplex, lo: SliceComplex,
     for v in hi.cohomology(s).representatives:
         w = _map_vector(index_map, v)
         if d_out.apply(w):
-            raise AssertionError("the word map sent a cocycle to a non-cocycle")
+            raise AssertionError("the index map sent a cocycle to a non-cocycle")
         r = echelon_insert(pivots, w)
         if r:
             residues.append(r)
@@ -341,54 +382,50 @@ def _image_in_lower(hi: SliceComplex, lo: SliceComplex,
     return got
 
 
-def limit_ext_report(s: int, d: RO2Degree, levels, max_dim: int = DEFAULT_MAX_DIM) -> LimitReport:
-    """Tower of completed Ext over the given truncation levels (u inverted).
+def tower_report(s: int, d: RO2Degree, complexes) -> LimitReport:
+    """Tower of Ext over complexes of one model at ascending levels.
 
-    Levels must be ascending ints.  With three or more levels the
-    stabilization certificate asks for equal image dimensions at the top
-    two adjacent transitions and the top two-step composite; with exactly
-    two levels it degenerates to "all dims equal and the transition is an
-    isomorphism", and the rule used is recorded in the report.
-
-    The certificate only attests to the inspected window: a class born
-    above the top level is invisible, so callers must place the window at
-    or above the birth level of the classes they expect (slice charts seed
-    this from the closed-form names).
+    With three or more levels the stabilization certificate asks for equal
+    image dimensions at the top two adjacent transitions and the top
+    two-step composite; with exactly two levels it degenerates to "all dims
+    equal and the transition is an isomorphism", and the rule used is
+    recorded in the report.
     """
-    levels = tuple(levels)
-    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("need at least two ascending levels")
-    complexes = [get_complex(d, n, True, max_dim) for n in levels]
-    results = [cx.cohomology(s) for cx in complexes]
-    dims = tuple(r.dim for r in results)
-    image_dims = []
-    image_residues: list[tuple[int, ...]] = []
-    for k in range(len(levels) - 1):
-        dim_k, residues = _image_in_lower(complexes[k + 1], complexes[k], s)
-        image_dims.append(dim_k)
-        image_residues.append(residues)
+    levels = tuple(cx.n for cx in complexes)
+    dims = tuple(cx.cohomology(s).dim for cx in complexes)
+    image_dims = tuple(_image_in_lower(hi, lo, s)[0]
+                       for lo, hi in zip(complexes, complexes[1:]))
     if len(levels) >= 3:
-        skip, _ = _image_in_lower(complexes[-1], complexes[-3], s)
-        e1, e2 = image_dims[-2], image_dims[-1]
-        stabilized = e1 == e2 == skip
+        skip = _image_in_lower(complexes[-1], complexes[-3], s)[0]
+        stabilized = image_dims[-2] == image_dims[-1] == skip
         rule = "three-level"
-        limit = e2 if stabilized else None
     else:
         skip = None
         stabilized = dims[0] == dims[1] == image_dims[0]
         rule = "two-level"
-        limit = image_dims[0] if stabilized else None
-    basis_labels: tuple[str, ...] = ()
-    if stabilized:
-        words = complexes[-2].words(s)
-        basis_labels = tuple(
-            element_label([_monomial(words[j], d) for j in bits(v)])
-            for v in image_residues[-1]
-        )
-    return LimitReport(
-        s, d, levels, dims, tuple(image_dims), skip, rule, stabilized, limit,
-        basis_labels,
-    )
+    limit = image_dims[-1] if stabilized else None
+    return LimitReport(s, d, levels, dims, image_dims, skip, rule, stabilized, limit,
+                       complexes[-1].max_dim)
+
+
+def limit_ext_report(s: int, d: RO2Degree, levels, max_dim: int = DEFAULT_MAX_DIM) -> LimitReport:
+    """Tower of completed Ext over the given truncation levels (u inverted).
+
+    Levels must be ascending ints.  Dims, images and the certificate come
+    from Koszul complexes, labels from cobar when read.  The two-level rule
+    is a weaker check and no certificate of the limit (README).
+
+    Either rule only attests to the inspected window: a class born
+    above the top level is invisible, so callers must place the window at
+    or above the birth level of the classes they expect (slice charts seed
+    this from the closed-form names).
+    """
+    from .koszul import get_koszul  # koszul.py builds on this module
+
+    levels = tuple(levels)
+    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("need at least two ascending levels")
+    return tower_report(s, d, [get_koszul(d, n, max_dim) for n in levels])
 
 
 def limit_ext_dim(s: int, d: RO2Degree, n_start: int = 1, depth: int = 3,

@@ -168,6 +168,14 @@ def test_chart_sigma_slice():
     assert "1\t1\t2\ty_1" in r.stdout
 
 
+def test_chart_sigma_zero_at_defaults():
+    # stems 0..7, s <= 8, levels up to 6: the cobar towers ran past 150 s
+    r = run("chart", "--sigma", "0", timeout=60)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "stem\tfiltration\tsigma\tlabel" and len(lines) > 1
+
+
 def test_chart_rejects_unknown_format():
     r = run("chart", "--stems", "0..1", "--smax", "1", "--format", "pdf")
     assert r.returncode == 2
@@ -191,6 +199,23 @@ def test_bad_range_is_usage_error():
     assert run("ext-table", "--n", "1", "--p", "3..1").returncode == 2
     assert run("ext-table", "--n", "1", "--p", "junk").returncode == 2
     assert run("ext-table", "--n", "0", "--p", "0..0").returncode == 2
+
+
+def test_limit_ext_deep_cell():
+    # s = 5 at level 3 took about 280 s on cobar towers
+    r = run("limit-ext", "--s", "5", "--p", "5", "--q", "-3", "--start", "1",
+            "--depth", "2", timeout=60)
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["stabilized"] is True and doc["limit_dim"] == 0
+
+
+def test_limit_ext_oversized_koszul_slice_exits_2():
+    # C(24, 7) Koszul chains at level 18, s = 7
+    r = run("limit-ext", "--s", "8", "--p", "0", "--q", "0", "--start", "18",
+            "--depth", "2", timeout=60)
+    assert r.returncode == 2
+    assert "error: slice s=7 exceeds 200000 monomials" in r.stderr
 
 
 def test_oversized_slice_exits_2():

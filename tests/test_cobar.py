@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from cobarext import cobar
+from cobarext import cobar, koszul
 from cobarext.f2linalg import bits
 from cobarext.grading import CobarMonomial, RO2Degree, element_label
 from cobarext.xadic import einfty_basis
@@ -187,38 +187,50 @@ TOWER_WINDOW = [
 ]
 
 
+def _clear_complex_caches():
+    cobar._shared_complex.cache_clear()
+    koszul._shared_koszul.cache_clear()
+
+
 def test_tower_image_memo_keeps_reports_and_maps_each_triple_once(monkeypatch):
     def key(cx):
         return (cx.n, cx.invert_u, cx.p_key, cx.e_floor)
 
-    maps = Counter()
-    truncation_map = cobar._truncation_map
+    # the towers restrict Koszul complexes; the labels of nonzero limits
+    # truncate cobar complexes
+    maps = {"cobar": Counter(), "koszul": Counter()}
 
-    def counted(src, dst, s):
-        maps[key(src), key(dst), s] += 1
-        return truncation_map(src, dst, s)
+    def counting(model, fn):
+        def counted(src, dst, s):
+            maps[model][key(src), key(dst), s] += 1
+            return fn(src, dst, s)
+        return counted
 
-    monkeypatch.setattr(cobar, "_truncation_map", counted)
-    cobar._shared_complex.cache_clear()
+    monkeypatch.setattr(cobar, "_truncation_map", counting("cobar", cobar._truncation_map))
+    monkeypatch.setattr(koszul.KoszulComplex, "restrict",
+                        counting("koszul", koszul.KoszulComplex.restrict))
+    _clear_complex_caches()
     cold = _window_reports(TOWER_WINDOW)
     warm = _window_reports(TOWER_WINDOW)
-    assert maps and set(maps.values()) == {1}
+    for counts in maps.values():
+        assert counts and set(counts.values()) == {1}
     # every report asks for three images; the window shares most of them
-    assert len(maps) < 3 * len(TOWER_WINDOW)
+    assert len(maps["koszul"]) < 3 * len(TOWER_WINDOW)
     # memos filled in another order must give the same reports
-    cobar._shared_complex.cache_clear()
+    _clear_complex_caches()
     backwards = _window_reports(TOWER_WINDOW[::-1])[::-1]
     assert cold == warm == backwards
     assert any(r["stabilized"] and r["basis"] for r in cold)
 
 
 def test_tower_image_memo_stores_no_error():
-    hi = cobar.SliceComplex(2, True, 1, 0)
-    lo = cobar.SliceComplex(1, True, 1, 2)
-    for _ in range(2):
-        with pytest.raises(AssertionError, match="missing downstairs"):
-            cobar._image_in_lower(hi, lo, 1)
-    assert not hi._images
+    # in both models the higher weight cut drops a chain within the lower level
+    for hi, lo in ((cobar.SliceComplex(2, True, 1, 0), cobar.SliceComplex(1, True, 1, 2)),
+                   (koszul.KoszulComplex(2, 1, 0), koszul.KoszulComplex(1, 1, 2))):
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="missing downstairs"):
+                cobar._image_in_lower(hi, lo, 1)
+        assert not hi._images
 
 
 def _basis_window():
