@@ -1,9 +1,14 @@
+import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from cobarext import cli, cobar, hopf, xadic
 
 BASE = [sys.executable, "-m", "cobarext"]
 
@@ -257,6 +262,8 @@ PINNED_STDOUT = [
      "843f3549c693faa2dae2857d0b61bfa055f2b86bff63653f434d223626591fab"),
     (('etar', 'a^2 u^3'),
      "d906de72f66b05408fb1cc555f4951b6cd71b219dc1a6da8a9607ac7ab376804"),
+    (('ext', '--n', '3', '--s', '2', '--p', '4', '--q', '0', '--invert-u'),
+     "2f2c2f674fcdf9e15974f261e9841c2b81678b18dc6e16f92172a2e3abe44adf"),
 ]
 
 
@@ -266,3 +273,76 @@ def test_pinned_output_bytes(argv, digest):
     r = subprocess.run(BASE + list(argv), capture_output=True)
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+
+def _leaf_commands(parser, prefix=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [leaf for name, sub in subs[0].choices.items()
+            for leaf in _leaf_commands(sub, prefix + (name,))]
+
+
+def test_every_command_has_a_pinned_argv():
+    leaves = _leaf_commands(cli.build_parser())
+    assert ("verify", "axioms") in leaves and ("ext",) in leaves
+    for leaf in leaves:
+        assert any(argv[:len(leaf)] == leaf for argv, _ in PINNED_STDOUT), leaf
+
+
+def _drop_counit_of_u(alpha, beta, n):
+    terms = hopf.coaction(alpha, beta, n)
+    return terms - {(0, 1, 0)} if (alpha, beta) == (0, 1) else terms
+
+
+def _on_result(corrupt):
+    """Replace a verifier by one that corrupts the real verifier's result."""
+    return lambda real: lambda *a, **k: corrupt(real(*a, **k))
+
+
+def _fail_first_entry(**changes):
+    return _on_result(lambda rep: dataclasses.replace(
+        rep, entries=(dataclasses.replace(rep.entries[0], **changes),) + rep.entries[1:]))
+
+
+def _fail_coboundary(real):
+    def check(r, m, n):
+        c = real(r, m, n)
+        return dataclasses.replace(c, ok=False) if (r, m, n) == (1, 0, 2) else c
+    return check
+
+
+# one failing entry per verifier, so the failure lines and the failure JSON
+# are pinned too; SHA-256 of stdout recorded before the reports carried
+# their own lines and JSON
+FAILING = [
+    (('verify', 'axioms', '--nmax', '2', '--window', '2'), hopf, "check_axioms",
+     lambda real: functools.partial(real, coaction_fn=_drop_counit_of_u),
+     "252c79436fee0ae343b6d5e927e10105754bf7ab4cf1f0ba4c76ca123bdf2943"),
+    (('verify', 'coboundary', '--rmax', '1', '--mmax', '1', '--nmax', '2'),
+     xadic, "verify_coboundary", _fail_coboundary,
+     "b57ae3e11c5f34253482886c3f131b1b8cb2537b37ac38b38dfb166c00f4255f"),
+    (('verify', 'einfty', '--n', 'inf', '--window', '2', '--smax', '2', '--jobs', '1'),
+     xadic, "verify_einfty",
+     _on_result(lambda rep: dataclasses.replace(
+         rep, mismatches=(xadic.EinftyMismatch(rep.n, 1, 1, 1, 2, 1),))),
+     "f09e90320842b84e69a33e23340b7ef8ae6c1b27daad7053bba5d821929803da"),
+    (('verify', 'vanishing', '--p', '-1..1', '--budget', '-2..-1', '--smax', '1'),
+     xadic, "verify_vanishing", _fail_first_entry(got_dim=1, got_basis=("a",)),
+     "4f2b86f9cd87ea40d0d8cd03c140c78e4ef390bf967c6eda36d8c6736883040e"),
+    (('verify', 'localization', '--n', '1', '--window', '1', '--smax', '1'),
+     cobar, "verify_localization", _fail_first_entry(periodic_ok=False),
+     "45cd89a9f873143f0c36b049d7d99a9f92e0f5b5950fded0f611ad03e36cc80e"),
+    (('limit-ext', '--s', '1', '--p', '1', '--q', '1'), cobar, "limit_ext_report",
+     _on_result(lambda rep: dataclasses.replace(rep, stabilized=False, limit_dim=None)),
+     "2679eaa0e92720ee71f69ad037999726265c178a52822dad3a3842a77c0b8e14"),
+]
+
+
+@pytest.mark.parametrize("argv,owner,name,wrap,digest", FAILING,
+                         ids=[" ".join(case[0][:2]) for case in FAILING])
+def test_failure_output_bytes(monkeypatch, capsys, argv, owner, name, wrap, digest):
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    assert cli.main(list(argv)) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
