@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import charts, cobar, hopf, xadic
-from .grading import RO2Degree
+from .grading import RO2Degree, parse_monomial, word_label
 
 
 class UsageError(Exception):
@@ -49,10 +49,6 @@ def parse_level(text: str):
     return n
 
 
-def level_str(n) -> str:
-    return "inf" if n is None else str(n)
-
-
 def emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -63,6 +59,17 @@ def emit(text: str, path: str | None) -> None:
 
 def emit_json(obj, path: str | None) -> None:
     emit(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", path)
+
+
+def run_report(report, path: str | None) -> int:
+    """Print a verifier report's progress lines, then emit its JSON document.
+
+    Every report has `ok`, `lines()` and `to_dict()`; the exit code is 0
+    when it passed and 1 when it did not."""
+    for line in report.lines():
+        print(line)
+    emit_json(report.to_dict(), path)
+    return 0 if report.ok else 1
 
 
 def default_jobs() -> int:
@@ -89,15 +96,21 @@ def _ext_cell(args):
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_ext(args) -> int:
+def _fixed_level(args):
+    """The --n of a fixed-level command, refusing u inverted at inf."""
     n = parse_level(args.n)
     if args.invert_u and n is None:
         raise UsageError(
             "u cannot be inverted at level inf; use limit-ext for the completed value"
         )
+    return n
+
+
+def cmd_ext(args) -> int:
+    n = _fixed_level(args)
     res = cobar.ext_dim(args.s, RO2Degree(args.p, args.q), n, args.invert_u)
     emit_json(
-        {"s": args.s, "p": args.p, "q": args.q, "n": level_str(n),
+        {"s": args.s, "p": args.p, "q": args.q, "n": hopf.level_str(n),
          "dim": res.dim, "basis": list(res.rep_labels)},
         args.out,
     )
@@ -105,11 +118,7 @@ def cmd_ext(args) -> int:
 
 
 def cmd_ext_table(args) -> int:
-    n = parse_level(args.n)
-    if args.invert_u and n is None:
-        raise UsageError(
-            "u cannot be inverted at level inf; use limit-ext for the completed value"
-        )
+    n = _fixed_level(args)
     s_lo, s_hi = parse_range(args.s)
     p_lo, p_hi = parse_range(args.p)
     q_lo, q_hi = parse_range(args.q)
@@ -124,132 +133,54 @@ def cmd_ext_table(args) -> int:
     rows = pool_map(_ext_cell, cells, args.jobs)
     lines = ["n\ts\tp\tq\tdim\tbasis"]
     for s, p, q, dim, labels in rows:
-        lines.append(f"{level_str(n)}\t{s}\t{p}\t{q}\t{dim}\t{';'.join(labels)}")
+        lines.append(f"{hopf.level_str(n)}\t{s}\t{p}\t{q}\t{dim}\t{';'.join(labels)}")
     emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_limit_ext(args) -> int:
-    report = cobar.limit_ext_report(
-        args.s, RO2Degree(args.p, args.q),
-        range(args.start, args.start + args.depth + 1),
-    )
-    emit_json(report.to_dict(), args.out)
-    return 0 if report.stabilized else 1
+    return run_report(cobar.limit_ext_report(
+        args.s, RO2Degree(args.p, args.q), range(args.start, args.start + args.depth + 1),
+    ), args.out)
 
 
 def cmd_verify_axioms(args) -> int:
-    ok = True
-    summaries = []
-    for n in range(1, args.nmax + 1):
-        cap = 2**n - 1
-        e_max = cap if args.letters is None else min(args.letters, cap)
-        report = hopf.check_axioms(
-            n, e_max, coeff_window=args.window, cone_window=args.window)
-        ok = ok and report.ok
-        for line in report.lines():
-            print(line)
-        summaries.append({
-            "n": n,
-            "checks": [
-                {"name": c.name, "cases": c.cases, "ok": c.ok,
-                 "counterexample": c.counterexample}
-                for c in report.checks
-            ],
-        })
-    emit_json({"ok": ok, "levels": summaries}, args.out)
-    return 0 if ok else 1
+    return run_report(hopf.AxiomSuiteReport(tuple(
+        hopf.check_axioms(n, args.letters, coeff_window=args.window, cone_window=args.window)
+        for n in range(1, args.nmax + 1)
+    )), args.out)
+
+
+def _coboundary_cases(args):
+    if args.r is None and args.m is None:
+        return [(r, m, n)
+                for r in range(args.rmax + 1)
+                for m in range(args.mmax + 1)
+                for n in range(r + 1, max(args.nmax, r + 1) + 1)]
+    if args.r is None or args.m is None:
+        raise UsageError("--r and --m go together")
+    return [(args.r, args.m, args.n if args.n is not None else args.r + 1)]
 
 
 def cmd_verify_coboundary(args) -> int:
-    single = args.r is not None or args.m is not None
-    if single and (args.r is None or args.m is None):
-        raise UsageError("--r and --m go together")
-    checks = []
-    if single:
-        n = args.n if args.n is not None else args.r + 1
-        checks.append(xadic.verify_coboundary(args.r, args.m, n))
-    else:
-        for r in range(args.rmax + 1):
-            for m in range(args.mmax + 1):
-                for n in range(r + 1, max(args.nmax, r + 1) + 1):
-                    checks.append(xadic.verify_coboundary(r, m, n))
-    ok = all(c.ok for c in checks)
-    for c in checks:
-        status = "pass" if c.ok else f"FAIL (kept {list(c.kept_labels)})"
-        print(f"r={c.r} m={c.m} n={c.n}: d({c.source_label}) keeps "
-              f"{c.expected_label} below the letter cutoff: {status}")
-    emit_json(
-        {"ok": ok, "checks": [
-            {"r": c.r, "m": c.m, "n": c.n, "ok": c.ok,
-             "source": c.source_label, "expected": c.expected_label,
-             "kept": list(c.kept_labels), "discarded": list(c.discarded_labels)}
-            for c in checks
-        ]},
-        args.out,
-    )
-    return 0 if ok else 1
+    return run_report(xadic.verify_coboundaries(_coboundary_cases(args)), args.out)
 
 
 def cmd_verify_einfty(args) -> int:
-    n = parse_level(args.n)
-    report = xadic.verify_einfty(n, args.window, args.smax,
-                                 map_fn=functools.partial(pool_map, jobs=args.jobs))
-    mismatches = [
-        {"s": m.s, "p": m.p, "q": m.q, "ext": m.ext, "closed_form": m.closed_form}
-        for m in report.mismatches
-    ]
-    print(f"n={level_str(n)}: {report.checked} tridegrees checked, "
-          f"{len(mismatches)} mismatches: {'pass' if report.ok else 'FAIL'}")
-    emit_json(
-        {"ok": report.ok, "n": level_str(n), "window": args.window, "smax": args.smax,
-         "checked": report.checked, "mismatches": mismatches},
-        args.out,
-    )
-    return 0 if report.ok else 1
+    return run_report(xadic.verify_einfty(
+        parse_level(args.n), args.window, args.smax,
+        map_fn=functools.partial(pool_map, jobs=args.jobs),
+    ), args.out)
 
 
 def cmd_verify_vanishing(args) -> int:
-    report = xadic.verify_vanishing(
-        parse_range(args.p), parse_range(args.budget), args.smax)
-    for e in report.failures():
-        print(f"FAIL p={e.p} q={e.q} s={e.s}: expected dim {e.expected_dim} "
-              f"{list(e.expected_basis)}, got {e.got_dim} {list(e.got_basis)} "
-              f"(levels {list(e.levels)}, rule {e.rule})")
-    print(f"{len(report.entries)} tridegrees checked, "
-          f"{len(report.failures())} failures: {'pass' if report.ok else 'FAIL'}")
-    emit_json(
-        {"ok": report.ok, "checked": len(report.entries),
-         "failures": [
-             {"p": e.p, "q": e.q, "s": e.s, "expected_dim": e.expected_dim,
-              "got_dim": e.got_dim, "levels": list(e.levels), "rule": e.rule}
-             for e in report.failures()
-         ]},
-        args.out,
-    )
-    return 0 if report.ok else 1
+    return run_report(xadic.verify_vanishing(
+        parse_range(args.p), parse_range(args.budget), args.smax), args.out)
 
 
 def cmd_verify_localization(args) -> int:
-    report = cobar.verify_localization(
-        tuple(args.n), window=args.window, s_max=args.smax)
-    for e in report.failures():
-        print(f"FAIL n={e.n} s={e.s} p={e.p} q={e.q}: inverted {e.inverted_dim}, "
-              f"shifted dims {list(e.shifted_dims)} at t={list(e.shifts)}, "
-              f"periodic={e.periodic_ok}")
-    print(f"{len(report.entries)} tridegrees checked, "
-          f"{len(report.failures())} failures: {'pass' if report.ok else 'FAIL'}")
-    emit_json(
-        {"ok": report.ok, "checked": len(report.entries),
-         "failures": [
-             {"n": e.n, "s": e.s, "p": e.p, "q": e.q,
-              "inverted_dim": e.inverted_dim, "shifts": list(e.shifts),
-              "shifted_dims": list(e.shifted_dims), "periodic_ok": e.periodic_ok}
-             for e in report.failures()
-         ]},
-        args.out,
-    )
-    return 0 if report.ok else 1
+    return run_report(cobar.verify_localization(
+        tuple(args.n), window=args.window, s_max=args.smax), args.out)
 
 
 def cmd_xadic(args) -> int:
@@ -264,7 +195,7 @@ def cmd_xadic(args) -> int:
             "targets": sorted(t.label() for t in targets),
         })
     emit_json(
-        {"n": level_str(n), "t": args.t, "s": args.s, "p": args.p, "q": args.q,
+        {"n": hopf.level_str(n), "t": args.t, "s": args.s, "p": args.p, "q": args.q,
          "basis": [m.label() for m in basis], "differentials": diffs},
         args.out,
     )
@@ -273,8 +204,6 @@ def cmd_xadic(args) -> int:
 
 def cmd_chart(args) -> int:
     stem_lo, stem_hi = parse_range(args.stems)
-    if args.format not in ("tsv", "json", "svg"):
-        raise UsageError(f"unknown format {args.format!r} (expected svg, tsv, json)")
     if args.sigma is None:
         dots = charts.integer_stem_chart(
             stem_hi, args.smax, stem_lo,
@@ -299,30 +228,6 @@ def cmd_chart(args) -> int:
 _ETAR_USAGE = "give either --theta I J or a word-free monomial like 'a^2 u'"
 
 
-def _parse_word_free(text: str) -> tuple[int, int]:
-    alpha = beta = 0
-    for piece in text.split():
-        if piece == "1":
-            continue
-        name, sep, exp = piece.partition("^")
-        if name not in ("a", "u"):
-            raise UsageError(f"unknown factor {piece!r}; {_ETAR_USAGE}")
-        try:
-            e = int(exp) if sep else 1
-        except ValueError:
-            raise UsageError(f"bad exponent in {piece!r}") from None
-        if name == "a":
-            alpha += e
-        else:
-            beta += e
-    if alpha < 0:
-        raise UsageError("a-exponents must be nonnegative")
-    if beta < 0:
-        raise UsageError(
-            "negative u-powers have no polynomial expansion; --theta handles the cone")
-    return alpha, beta
-
-
 def cmd_etar(args) -> int:
     if (args.theta is None) == (not args.expr):
         raise UsageError(_ETAR_USAGE)
@@ -333,8 +238,13 @@ def cmd_etar(args) -> int:
         terms = hopf.eta_r_negative(hopf.NegativeConeClass(i, j))
         emit(hopf.cone_element_label(terms) + "\n", args.out)
     else:
-        alpha, beta = _parse_word_free(" ".join(args.expr))
-        terms = hopf.eta_r_positive([(alpha, beta)])
+        mono = parse_monomial(" ".join(args.expr))
+        if mono.word:
+            raise UsageError(f"unknown factor {word_label(mono.word)!r}; {_ETAR_USAGE}")
+        if mono.beta < 0:
+            raise UsageError(
+                "negative u-powers have no polynomial expansion; --theta handles the cone")
+        terms = hopf.eta_r_positive([(mono.alpha, mono.beta)])
         emit(hopf.positive_element_label(terms) + "\n", args.out)
     return 0
 
@@ -343,6 +253,11 @@ def cmd_etar(args) -> int:
 
 def _add_out(p):
     p.add_argument("--out", default=None, help="write the document here instead of stdout")
+
+
+def _add_spq(p):
+    for name in ("--s", "--p", "--q"):
+        p.add_argument(name, type=int, required=True)
 
 
 def _add_jobs(p):
@@ -360,9 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ext", help="one Ext group as JSON")
     p.add_argument("--n", required=True, help="truncation level, or 'inf'")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    _add_spq(p)
     p.add_argument("--invert-u", action="store_true")
     _add_out(p)
     p.set_defaults(func=cmd_ext)
@@ -378,9 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ext_table)
 
     p = sub.add_parser("limit-ext", help="completed Ext via the level tower")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    _add_spq(p)
     p.add_argument("--start", type=int, default=1, help="lowest level of the tower")
     p.add_argument("--depth", type=int, default=3,
                    help="tower spans start..start+depth")
@@ -436,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("xadic", help="one weight-filtration page slice as JSON")
     p.add_argument("--n", required=True, help="truncation level, or 'inf'")
     p.add_argument("--t", type=int, required=True, help="page stage")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    _add_spq(p)
     _add_out(p)
     p.set_defaults(func=cmd_xadic)
 
@@ -452,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="top truncation level a sigma-slice tower may use")
     p.add_argument("--conjectural-d2", action="store_true",
                    help="overlay the conjectural degree-2 differential")
-    p.add_argument("--format", default="tsv", help="svg, tsv, or json")
+    p.add_argument("--format", default="tsv", choices=("tsv", "json", "svg"))
     p.add_argument("--arrows-out", default=None,
                    help="write the arrow table here (tsv overlay requires it)")
     _add_jobs(p)
@@ -492,10 +401,7 @@ def main(argv=None) -> int:
         sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (cobar.UnboundedBasisError, cobar.ComplexTooLargeError,
+    except (UsageError, cobar.UnboundedBasisError, cobar.ComplexTooLargeError,
             hopf.UnboundedCoactionError, xadic.StageOutOfRangeError,
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -23,7 +23,7 @@ it, while limit_ext_report certifies dims on the Koszul complexes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .f2linalg import (
     CohomologyResult,
@@ -231,6 +231,12 @@ def _monomial(word: tuple[int, ...], d: RO2Degree) -> CobarMonomial:
     return CobarMonomial(2 * e - d.p - d.q, d.p - e, word)
 
 
+def _labels(words, d: RO2Degree, vectors) -> tuple[str, ...]:
+    """Labels of the F2 sums of monomials that the bit vectors pick from words."""
+    return tuple(element_label([_monomial(words[j], d) for j in bits(v)])
+                 for v in vectors)
+
+
 def basis(s: int, d: RO2Degree, n: TruncationLevel, invert_u: bool = False,
           max_dim: int = DEFAULT_MAX_DIM) -> list[CobarMonomial]:
     """Canonically ordered monomial basis of the slice (s, d) at level n."""
@@ -264,7 +270,7 @@ class ExtResult:
 
     @property
     def rep_labels(self) -> tuple[str, ...]:
-        return tuple(element_label(self.rep_monomials(v)) for v in self.rep_vectors)
+        return _labels(self.words, self.degree, self.rep_vectors)
 
 
 def ext_dim(s: int, d: RO2Degree, n: TruncationLevel, invert_u: bool = False,
@@ -330,11 +336,14 @@ class LimitReport:
                 f"cobar image dim {dim} differs from the certified limit "
                 f"{self.limit_dim} at s={self.s}, d={self.degree}"
             )
-        words = second.words(self.s)
-        return tuple(
-            element_label([_monomial(words[j], self.degree) for j in bits(v)])
-            for v in residues
-        )
+        return _labels(second.words(self.s), self.degree, residues)
+
+    @property
+    def ok(self) -> bool:
+        return self.stabilized
+
+    def lines(self) -> list[str]:
+        return []
 
     def to_dict(self) -> dict:
         return {
@@ -468,21 +477,41 @@ class LocalizationEntry:
             and self.shifted_dims[0] == self.shifted_dims[1] == self.inverted_dim
         )
 
+    def fail_line(self) -> str:
+        return (f"FAIL n={self.n} s={self.s} p={self.p} q={self.q}: inverted "
+                f"{self.inverted_dim}, shifted dims {list(self.shifted_dims)} at "
+                f"t={list(self.shifts)}, periodic={self.periodic_ok}")
+
+    def failure_dict(self) -> dict:
+        return asdict(self)
+
 
 @dataclass(frozen=True)
-class LocalizationReport:
-    entries: tuple[LocalizationEntry, ...]
+class EntriesReport:
+    """Verdicts on the tridegrees of a window.  Each entry supplies `ok`,
+    `fail_line()` and `failure_dict()`; only failures are listed."""
+    entries: tuple
 
     @property
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def failures(self) -> list[LocalizationEntry]:
+    def failures(self) -> list:
         return [e for e in self.entries if not e.ok]
+
+    def lines(self) -> list[str]:
+        bad = self.failures()
+        return [e.fail_line() for e in bad] + [
+            f"{len(self.entries)} tridegrees checked, {len(bad)} failures: "
+            f"{'FAIL' if bad else 'pass'}"]
+
+    def to_dict(self) -> dict:
+        return {"ok": self.ok, "checked": len(self.entries),
+                "failures": [e.failure_dict() for e in self.failures()]}
 
 
 def verify_localization(n_values=(1, 2), window: int = 6, s_max: int = 4,
-                        max_dim: int = DEFAULT_MAX_DIM) -> LocalizationReport:
+                        max_dim: int = DEFAULT_MAX_DIM) -> EntriesReport:
     """Check that inverting u agrees with shifting by large powers of u^(2^n).
 
     For each sampled tridegree the non-inverted dimension at
@@ -515,4 +544,4 @@ def verify_localization(n_values=(1, 2), window: int = 6, s_max: int = 4,
                     entries.append(LocalizationEntry(
                         n, s, p, q, inv, t_pair, dims, inv_shifted == inv
                     ))
-    return LocalizationReport(tuple(entries))
+    return EntriesReport(tuple(entries))

@@ -72,14 +72,6 @@ class F2Matrix:
     def identity(cls, n: int) -> F2Matrix:
         return cls(n, n, tuple(1 << j for j in range(n)))
 
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> F2Matrix:
-        """Build from an iterable of (i, j) positions holding 1 (xor semantics)."""
-        bits = [0] * rows
-        for i, j in entries:
-            bits[i] ^= 1 << j
-        return cls(rows, cols, tuple(bits))
-
     def entry(self, i: int, j: int) -> int:
         return (self.row_bits[i] >> j) & 1
 

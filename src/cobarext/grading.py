@@ -34,11 +34,6 @@ class RO2Degree:
         return f"({self.p}, {self.q})"
 
 
-DEG_A = RO2Degree(0, -1)
-DEG_U = RO2Degree(1, -1)
-DEG_X = RO2Degree(1, 1)
-
-
 @dataclass(frozen=True)
 class Tridegree:
     s: int

@@ -18,7 +18,7 @@ symmetric difference (everything is over F2).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from .grading import RO2Degree, binom_mod2, power_label
@@ -34,6 +34,10 @@ class LetterOutOfRangeError(Exception):
 def check_level(n: TruncationLevel) -> None:
     if n is not None and n < 1:
         raise ValueError(f"truncation level must be >= 1 or None, got {n}")
+
+
+def level_str(n: TruncationLevel) -> str:
+    return "inf" if n is None else str(n)
 
 
 def letter_cap(n: TruncationLevel) -> int | None:
@@ -203,6 +207,25 @@ class AxiomReport:
             status = "pass" if c.ok else f"FAIL ({c.counterexample})"
             out.append(f"level {self.level}: {c.name}: {c.cases} cases: {status}")
         return out
+
+    def to_dict(self) -> dict:
+        return {"n": self.level, "checks": [asdict(c) for c in self.checks]}
+
+
+@dataclass(frozen=True)
+class AxiomSuiteReport:
+    """The axiom suite at several levels, one AxiomReport each."""
+    reports: tuple[AxiomReport, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.reports)
+
+    def lines(self) -> list[str]:
+        return [line for r in self.reports for line in r.lines()]
+
+    def to_dict(self) -> dict:
+        return {"ok": self.ok, "levels": [r.to_dict() for r in self.reports]}
 
 
 def _mul_coaction_terms(t1, t2, n: TruncationLevel):

@@ -13,12 +13,12 @@ range against Koszul level towers whose labels come from cobar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 
 from . import cobar
 from .grading import CobarMonomial, RO2Degree, binom_mod2, power_label
-from .hopf import TruncationLevel, check_level
+from .hopf import TruncationLevel, check_level, level_str
 
 
 class StageOutOfRangeError(Exception):
@@ -239,14 +239,35 @@ def predicted_a_rank(n: TruncationLevel, s: int, d: RO2Degree) -> int:
 
 @dataclass(frozen=True)
 class CoboundaryCheck:
+    """One case of the coboundary lemma; fields are labels, named as in JSON."""
     r: int
     m: int
     n: int
     ok: bool
-    source_label: str
-    expected_label: str
-    kept_labels: tuple[str, ...]
-    discarded_labels: tuple[str, ...]
+    source: str
+    expected: str
+    kept: tuple[str, ...]
+    discarded: tuple[str, ...]
+
+    def line(self) -> str:
+        status = "pass" if self.ok else f"FAIL (kept {list(self.kept)})"
+        return (f"r={self.r} m={self.m} n={self.n}: d({self.source}) keeps "
+                f"{self.expected} below the letter cutoff: {status}")
+
+
+@dataclass(frozen=True)
+class CoboundaryReport:
+    checks: tuple[CoboundaryCheck, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def lines(self) -> list[str]:
+        return [c.line() for c in self.checks]
+
+    def to_dict(self) -> dict:
+        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
 def verify_coboundary(r: int, m: int, n: int) -> CoboundaryCheck:
@@ -277,6 +298,11 @@ def verify_coboundary(r: int, m: int, n: int) -> CoboundaryCheck:
     )
 
 
+def verify_coboundaries(cases) -> CoboundaryReport:
+    """verify_coboundary on each (r, m, n) case, in order."""
+    return CoboundaryReport(tuple(verify_coboundary(r, m, n) for r, m, n in cases))
+
+
 @dataclass(frozen=True)
 class VanishingEntry:
     p: int
@@ -298,17 +324,14 @@ class VanishingEntry:
             and self.got_basis == self.expected_basis
         )
 
+    def fail_line(self) -> str:
+        return (f"FAIL p={self.p} q={self.q} s={self.s}: expected dim {self.expected_dim} "
+                f"{list(self.expected_basis)}, got {self.got_dim} {list(self.got_basis)} "
+                f"(levels {list(self.levels)}, rule {self.rule})")
 
-@dataclass(frozen=True)
-class VanishingReport:
-    entries: tuple[VanishingEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def failures(self) -> list[VanishingEntry]:
-        return [e for e in self.entries if not e.ok]
+    def failure_dict(self) -> dict:
+        return {"p": self.p, "q": self.q, "s": self.s, "expected_dim": self.expected_dim,
+                "got_dim": self.got_dim, "levels": list(self.levels), "rule": self.rule}
 
 
 def _vanishing_levels(s: int, max_abs_p: int) -> tuple[int, ...]:
@@ -327,7 +350,7 @@ def _vanishing_levels(s: int, max_abs_p: int) -> tuple[int, ...]:
 def verify_vanishing(p_range: tuple[int, int] = (-8, 8),
                      budget: tuple[int, int] = (-8, -1),
                      s_max: int = 6,
-                     max_dim: int = cobar.DEFAULT_MAX_DIM) -> VanishingReport:
+                     max_dim: int = cobar.DEFAULT_MAX_DIM) -> cobar.EntriesReport:
     """Check that completed Ext vanishes when p + q < 0, except F2{a^(-q)} at
     s = 0, p = 0.  The budget window constrains p + q."""
     if budget[1] >= 0:
@@ -350,7 +373,7 @@ def verify_vanishing(p_range: tuple[int, int] = (-8, 8),
                     report.limit_dim, report.basis_labels,
                     levels, report.rule, report.stabilized,
                 ))
-    return VanishingReport(tuple(entries))
+    return cobar.EntriesReport(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -374,6 +397,16 @@ class EinftyReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
+
+    def lines(self) -> list[str]:
+        return [f"n={level_str(self.n)}: {self.checked} tridegrees checked, "
+                f"{len(self.mismatches)} mismatches: {'pass' if self.ok else 'FAIL'}"]
+
+    def to_dict(self) -> dict:
+        return {"ok": self.ok, "n": level_str(self.n), "window": self.window,
+                "smax": self.s_max, "checked": self.checked, "mismatches": [
+                    {"s": m.s, "p": m.p, "q": m.q, "ext": m.ext, "closed_form": m.closed_form}
+                    for m in self.mismatches]}
 
 
 def _einfty_cell(args):

@@ -198,6 +198,10 @@ def test_etar_usage_errors():
     assert run("etar", "--theta", "1", "1", "u").returncode == 2
     assert run("etar", "u^-1").returncode == 2
     assert run("etar", "x").returncode == 2
+    assert "unknown factor '[x]'" in run("etar", "u [x]").stderr
+    # only canonical spellings, as labels print them
+    for spelling in ("u a", "a^1", "a a"):
+        assert cli.main(["etar", spelling]) == 2, spelling
 
 
 def test_bad_range_is_usage_error():
@@ -340,7 +344,7 @@ FAILING = [
 
 
 @pytest.mark.parametrize("argv,owner,name,wrap,digest", FAILING,
-                         ids=[" ".join(case[0][:2]) for case in FAILING])
+                         ids=[" ".join(case[0]) for case in FAILING])
 def test_failure_output_bytes(monkeypatch, capsys, argv, owner, name, wrap, digest):
     monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
     assert cli.main(list(argv)) == 1

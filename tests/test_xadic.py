@@ -96,10 +96,10 @@ def test_differential_degree_and_square():
 def test_coboundary_examples():
     assert xadic.verify_coboundary(0, 0, 1).ok
     c = xadic.verify_coboundary(1, 1, 2)
-    assert c.ok and c.source_label == "u^6"
-    assert c.kept_labels == ("a^4 u^4 [x^2]",) and c.discarded_labels == ()
+    assert c.ok and c.source == "u^6"
+    assert c.kept == ("a^4 u^4 [x^2]",) and c.discarded == ()
     c = xadic.verify_coboundary(2, 0, 3)
-    assert c.ok and c.expected_label == "a^8 [x^4]"
+    assert c.ok and c.expected == "a^8 [x^4]"
     with pytest.raises(ValueError):
         xadic.verify_coboundary(2, 0, 2)
 
