@@ -78,8 +78,8 @@ def integer_stem_chart(stem_max: int, s_max: int, stem_min: int = 0,
     return sorted((dot for col in columns for dot in col), key=ChartDot.sort_key)
 
 
-def slice_chart(q_slice: int, stems: tuple[int, int], s_max: int, n: int,
-                max_dim: int = cobar.DEFAULT_MAX_DIM) -> list[ChartDot]:
+def slice_chart(q_slice: int, stems: tuple[int, int], s_max: int,
+                n: int) -> list[ChartDot]:
     """Dots of the completed limit page in one sigma-slice.
 
     Dimensions come from a certified tower of truncation levels (u inverted,
@@ -103,10 +103,9 @@ def slice_chart(q_slice: int, stems: tuple[int, int], s_max: int, n: int,
                     f"(stem {stem}, s {s}, sigma {q_slice}) holds a class born "
                     f"at level {birth}; certifying it needs n >= {start + 2}"
                 )
-            report = cobar.limit_ext_report(s, d, range(start, start + 3), max_dim)
+            report = cobar.limit_ext_report(s, d, range(start, start + 3))
             if not report.stabilized and start + 3 <= n:
-                report = cobar.limit_ext_report(
-                    s, d, range(start + 1, start + 4), max_dim)
+                report = cobar.limit_ext_report(s, d, range(start + 1, start + 4))
             if not report.stabilized:
                 raise cobar.NotStabilizedError(report)
             if len(names) != report.limit_dim:

@@ -23,7 +23,7 @@ it, while limit_ext_report certifies dims on the Koszul complexes.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .f2linalg import (
     CohomologyResult,
@@ -32,10 +32,11 @@ from .f2linalg import (
     echelon_insert,
     cohomology_dim,
 )
-from .grading import CobarMonomial, RO2Degree, binom_mod2, element_label
-from .hopf import TruncationLevel, check_level, comult_reduced, letter_cap
+from .grading import CobarMonomial, RO2Degree, element_label
+from .hopf import TruncationLevel, check_level, coaction_letters, comult_reduced, letter_cap
 
-DEFAULT_MAX_DIM = 200_000
+# Largest basis of one slice, cobar or Koszul; SlicesBase.words enforces it.
+MAX_SLICE_DIM = 200_000
 
 
 class UnboundedBasisError(Exception):
@@ -43,7 +44,7 @@ class UnboundedBasisError(Exception):
 
 
 class ComplexTooLargeError(Exception):
-    """A slice basis exceeds the configured size cap."""
+    """A slice basis exceeds MAX_SLICE_DIM."""
 
 
 class NotStabilizedError(Exception):
@@ -88,13 +89,11 @@ class SlicesBase:
     `restrict(lower, s)` (the index map into a lower complex, None for
     chains that map to 0)."""
 
-    def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int,
-                 max_dim: int):
+    def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
         self.n = n
         self.invert_u = invert_u
         self.p_key = p_key
         self.e_floor = e_floor
-        self.max_dim = max_dim
         self._words: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._matrices: dict[int, F2Matrix] = {}
@@ -110,10 +109,8 @@ class SlicesBase:
         out = []
         for w in self._chains(s):
             out.append(w)
-            if len(out) > self.max_dim:
-                raise ComplexTooLargeError(
-                    f"slice s={s} exceeds {self.max_dim} monomials"
-                )
+            if len(out) > MAX_SLICE_DIM:
+                raise ComplexTooLargeError(f"slice s={s} exceeds {MAX_SLICE_DIM} monomials")
         self._words[s] = out = tuple(out)
         self._index[s] = {w: i for i, w in enumerate(out)}
         return out
@@ -149,14 +146,13 @@ class SliceComplex(SlicesBase):
     p mod 2^n when u is inverted (only binomial parities remain).
     """
 
-    def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int,
-                 max_dim: int = DEFAULT_MAX_DIM):
+    def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
         check_level(n)
         if invert_u and n is None:
             raise UnboundedBasisError(
                 "u inverted at the untruncated level: use the limit over levels"
             )
-        super().__init__(n, invert_u, p_key, e_floor, max_dim)
+        super().__init__(n, invert_u, p_key, e_floor)
 
     def _chains(self, s: int):
         cap = letter_cap(self.n)
@@ -169,19 +165,12 @@ class SliceComplex(SlicesBase):
             if sum(w) >= lo:
                 yield w
 
-    def _coaction_letters(self, beta: int):
-        cap = letter_cap(self.n)
-        top = cap if cap is not None else max(beta, 0)
-        for i in range(1, top + 1):
-            if binom_mod2(beta, i):
-                yield i
-
     def _assemble(self, s: int) -> F2Matrix:
         src = self.words(s)
         tgt_index = self.index(s + 1)
         rows = [0] * len(tgt_index)
         for j, word in enumerate(src):
-            for i in self._coaction_letters(self.p_key - sum(word)):
+            for i in coaction_letters(self.p_key - sum(word), self.n):
                 t = tgt_index.get((i,) + word)
                 if t is None:
                     raise AssertionError(f"coaction target missing for {word}, x^{i}")
@@ -198,10 +187,7 @@ class SliceComplex(SlicesBase):
         return _truncation_map(self, lo, s)
 
 
-@functools.lru_cache(maxsize=128)
-def _shared_complex(n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int,
-                    max_dim: int) -> SliceComplex:
-    return SliceComplex(n, invert_u, p_key, e_floor, max_dim)
+_shared_complex = functools.lru_cache(maxsize=128)(SliceComplex)
 
 
 def slice_key(d: RO2Degree, n: TruncationLevel, invert_u: bool) -> tuple:
@@ -221,9 +207,8 @@ def slice_key(d: RO2Degree, n: TruncationLevel, invert_u: bool) -> tuple:
     return n, invert_u, p_key, e_floor
 
 
-def get_complex(d: RO2Degree, n: TruncationLevel, invert_u: bool,
-                max_dim: int = DEFAULT_MAX_DIM) -> SliceComplex:
-    return _shared_complex(*slice_key(d, n, invert_u), max_dim)
+def get_complex(d: RO2Degree, n: TruncationLevel, invert_u: bool) -> SliceComplex:
+    return _shared_complex(*slice_key(d, n, invert_u))
 
 
 def _monomial(word: tuple[int, ...], d: RO2Degree) -> CobarMonomial:
@@ -237,17 +222,17 @@ def _labels(words, d: RO2Degree, vectors) -> tuple[str, ...]:
                  for v in vectors)
 
 
-def basis(s: int, d: RO2Degree, n: TruncationLevel, invert_u: bool = False,
-          max_dim: int = DEFAULT_MAX_DIM) -> list[CobarMonomial]:
+def basis(s: int, d: RO2Degree, n: TruncationLevel,
+          invert_u: bool = False) -> list[CobarMonomial]:
     """Canonically ordered monomial basis of the slice (s, d) at level n."""
-    cx = get_complex(d, n, invert_u, max_dim)
+    cx = get_complex(d, n, invert_u)
     return [_monomial(w, d) for w in cx.words(s)]
 
 
-def differential(s: int, d: RO2Degree, n: TruncationLevel, invert_u: bool = False,
-                 max_dim: int = DEFAULT_MAX_DIM) -> F2Matrix:
+def differential(s: int, d: RO2Degree, n: TruncationLevel,
+                 invert_u: bool = False) -> F2Matrix:
     """Cobar differential from slice s to slice s+1 in the canonical bases."""
-    return get_complex(d, n, invert_u, max_dim).matrix(s)
+    return get_complex(d, n, invert_u).matrix(s)
 
 
 @dataclass(frozen=True)
@@ -273,10 +258,10 @@ class ExtResult:
         return _labels(self.words, self.degree, self.rep_vectors)
 
 
-def ext_dim(s: int, d: RO2Degree, n: TruncationLevel, invert_u: bool = False,
-            max_dim: int = DEFAULT_MAX_DIM) -> ExtResult:
+def ext_dim(s: int, d: RO2Degree, n: TruncationLevel,
+            invert_u: bool = False) -> ExtResult:
     """Cohomology of the slice at s: dimension plus representative cocycles."""
-    cx = get_complex(d, n, invert_u, max_dim)
+    cx = get_complex(d, n, invert_u)
     res = cx.cohomology(s)
     return ExtResult(s, d, n, invert_u, res.dim, res.representatives, cx.words(s))
 
@@ -319,7 +304,6 @@ class LimitReport:
     rule: str
     stabilized: bool
     limit_dim: int | None
-    max_dim: int = field(default=DEFAULT_MAX_DIM, repr=False, compare=False)
 
     @functools.cached_property
     def basis_labels(self) -> tuple[str, ...]:
@@ -328,8 +312,7 @@ class LimitReport:
         must have the certified dimension."""
         if not self.limit_dim:
             return ()
-        top, second = (get_complex(self.degree, n, True, self.max_dim)
-                       for n in self.levels[:-3:-1])
+        top, second = (get_complex(self.degree, n, True) for n in self.levels[:-3:-1])
         dim, residues = _image_in_lower(top, second, self.s)
         if dim != self.limit_dim:
             raise AssertionError(
@@ -413,11 +396,10 @@ def tower_report(s: int, d: RO2Degree, complexes) -> LimitReport:
         stabilized = dims[0] == dims[1] == image_dims[0]
         rule = "two-level"
     limit = image_dims[-1] if stabilized else None
-    return LimitReport(s, d, levels, dims, image_dims, skip, rule, stabilized, limit,
-                       complexes[-1].max_dim)
+    return LimitReport(s, d, levels, dims, image_dims, skip, rule, stabilized, limit)
 
 
-def limit_ext_report(s: int, d: RO2Degree, levels, max_dim: int = DEFAULT_MAX_DIM) -> LimitReport:
+def limit_ext_report(s: int, d: RO2Degree, levels) -> LimitReport:
     """Tower of completed Ext over the given truncation levels (u inverted).
 
     Levels must be ascending ints.  Dims, images and the certificate come
@@ -434,28 +416,26 @@ def limit_ext_report(s: int, d: RO2Degree, levels, max_dim: int = DEFAULT_MAX_DI
     levels = tuple(levels)
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("need at least two ascending levels")
-    return tower_report(s, d, [get_koszul(d, n, max_dim) for n in levels])
+    return tower_report(s, d, [get_koszul(d, n) for n in levels])
 
 
-def limit_ext_dim(s: int, d: RO2Degree, n_start: int = 1, depth: int = 3,
-                  max_dim: int = DEFAULT_MAX_DIM) -> LimitReport:
+def limit_ext_dim(s: int, d: RO2Degree, n_start: int = 1, depth: int = 3) -> LimitReport:
     """limit_ext_report over levels n_start..n_start+depth; raises if uncertified."""
-    report = limit_ext_report(s, d, range(n_start, n_start + depth + 1), max_dim)
+    report = limit_ext_report(s, d, range(n_start, n_start + depth + 1))
     if not report.stabilized:
         raise NotStabilizedError(report)
     return report
 
 
 def a_multiplication_rank(s: int, d: RO2Degree, n: TruncationLevel,
-                          invert_u: bool = False,
-                          max_dim: int = DEFAULT_MAX_DIM) -> int:
+                          invert_u: bool = False) -> int:
     """Rank of multiplication by a on cohomology, Ext(s, d) -> Ext(s, d+(0,-1)).
 
     Multiplying by a keeps every bar word and only raises its a-exponent, so
     on word bases it is the same-level case of _truncation_map.
     """
-    src = get_complex(d, n, invert_u, max_dim)
-    tgt = get_complex(RO2Degree(d.p, d.q - 1), n, invert_u, max_dim)
+    src = get_complex(d, n, invert_u)
+    tgt = get_complex(RO2Degree(d.p, d.q - 1), n, invert_u)
     return _image_in_lower(src, tgt, s)[0]
 
 
@@ -489,12 +469,13 @@ class LocalizationEntry:
 @dataclass(frozen=True)
 class EntriesReport:
     """Verdicts on the tridegrees of a window.  Each entry supplies `ok`,
-    `fail_line()` and `failure_dict()`; only failures are listed."""
+    `fail_line()` and `failure_dict()`; only failures are listed.  A window
+    of no tridegree is not ok."""
     entries: tuple
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return bool(self.entries) and all(e.ok for e in self.entries)
 
     def failures(self) -> list:
         return [e for e in self.entries if not e.ok]
@@ -503,15 +484,15 @@ class EntriesReport:
         bad = self.failures()
         return [e.fail_line() for e in bad] + [
             f"{len(self.entries)} tridegrees checked, {len(bad)} failures: "
-            f"{'FAIL' if bad else 'pass'}"]
+            f"{'pass' if self.ok else 'FAIL'}"]
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "checked": len(self.entries),
                 "failures": [e.failure_dict() for e in self.failures()]}
 
 
-def verify_localization(n_values=(1, 2), window: int = 6, s_max: int = 4,
-                        max_dim: int = DEFAULT_MAX_DIM) -> EntriesReport:
+def verify_localization(n_values=(1, 2), window: int = 6,
+                        s_max: int = 4) -> EntriesReport:
     """Check that inverting u agrees with shifting by large powers of u^(2^n).
 
     For each sampled tridegree the non-inverted dimension at
@@ -530,15 +511,15 @@ def verify_localization(n_values=(1, 2), window: int = 6, s_max: int = 4,
             for p in range(-window, window + 1):
                 for q in range(-window, window + 1):
                     d = RO2Degree(p, q)
-                    inv = ext_dim(s, d, n, True, max_dim).dim
+                    inv = ext_dim(s, d, n, True).dim
                     shift = RO2Degree(period, -period)
-                    inv_shifted = ext_dim(s, d + shift, n, True, max_dim).dim
+                    inv_shifted = ext_dim(s, d + shift, n, True).dim
                     t_suff = 1
                     while p + t_suff * period < (s + 1) * cap:
                         t_suff += 1
                     t_pair = (t_suff + 1, t_suff + 2)
                     dims = tuple(
-                        ext_dim(s, d + shift.scaled(t), n, False, max_dim).dim
+                        ext_dim(s, d + shift.scaled(t), n, False).dim
                         for t in t_pair
                     )
                     entries.append(LocalizationEntry(

@@ -69,27 +69,31 @@ def comult_reduced(e: int, n: TruncationLevel) -> frozenset[tuple[int, int]]:
     return frozenset((i, e - i) for i in range(1, e) if binom_mod2(e, i))
 
 
-def coaction(alpha: int, beta: int, n: TruncationLevel) -> frozenset[tuple[int, int, int]]:
-    """Coaction of a^alpha u^beta, as triples (alpha', beta', i) for ... (x) x^i.
+@functools.cache
+def coaction_letters(beta: int, n: TruncationLevel) -> tuple[int, ...]:
+    """The letters i >= 1, ascending, with C(beta, i) odd and x^i nonzero at
+    level n: the bar letters of the reduced coaction of u^beta.
 
-    The i = 0 term is the identity term; u^(2^n) is primitive at level n.
-    For beta < 0 a finite truncation level is required, since the expansion
-    has one term per i with C(beta, i) odd and that set is infinite.
-    """
-    check_level(n)
-    if n is None:
+    For beta < 0 a finite truncation level is required, since that set is
+    infinite.  Memoised: slice assembly asks for it once per word."""
+    cap = letter_cap(n)
+    if cap is None:
         if beta < 0:
             raise UnboundedCoactionError(
                 "coaction of a negative u-power needs a finite truncation level"
             )
-        top = beta
-    else:
-        top = 2**n - 1
-    return frozenset(
-        (alpha + 2 * i, beta - i, i)
-        for i in range(top + 1)
-        if binom_mod2(beta, i)
-    )
+        cap = beta
+    return tuple(i for i in range(1, cap + 1) if binom_mod2(beta, i))
+
+
+def coaction(alpha: int, beta: int, n: TruncationLevel) -> frozenset[tuple[int, int, int]]:
+    """Coaction of a^alpha u^beta, as triples (alpha', beta', i) for ... (x) x^i.
+
+    The i = 0 term is the identity term; u^(2^n) is primitive at level n.
+    The other terms are the coaction_letters of beta.
+    """
+    return frozenset([(alpha, beta, 0)] + [
+        (alpha + 2 * i, beta - i, i) for i in coaction_letters(beta, n)])
 
 
 class UnboundedCoactionError(Exception):
@@ -186,6 +190,8 @@ def positive_element_label(terms) -> str:
 
 @dataclass(frozen=True)
 class AxiomCheck:
+    """One law's verdict; check_axioms sets ok only when the law ran at least
+    one case and found no counterexample."""
     name: str
     cases: int
     ok: bool
@@ -204,7 +210,7 @@ class AxiomReport:
     def lines(self) -> list[str]:
         out = []
         for c in self.checks:
-            status = "pass" if c.ok else f"FAIL ({c.counterexample})"
+            status = "pass" if c.ok else f"FAIL ({c.counterexample or 'no cases'})"
             out.append(f"level {self.level}: {c.name}: {c.cases} cases: {status}")
         return out
 
@@ -214,12 +220,13 @@ class AxiomReport:
 
 @dataclass(frozen=True)
 class AxiomSuiteReport:
-    """The axiom suite at several levels, one AxiomReport each."""
+    """The axiom suite at several levels, one AxiomReport each; a suite of
+    no level is not ok."""
     reports: tuple[AxiomReport, ...]
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.reports)
+        return bool(self.reports) and all(r.ok for r in self.reports)
 
     def lines(self) -> list[str]:
         return [line for r in self.reports for line in r.lines()]
@@ -369,5 +376,5 @@ def check_axioms(
             if not holds(case):
                 bad = label(case)
                 break
-        checks.append(AxiomCheck(name, count, bad is None, bad))
+        checks.append(AxiomCheck(name, count, count > 0 and bad is None, bad))
     return AxiomReport(n, tuple(checks))

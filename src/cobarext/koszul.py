@@ -17,21 +17,32 @@ from __future__ import annotations
 import functools
 from itertools import combinations_with_replacement
 
-from .cobar import DEFAULT_MAX_DIM, SlicesBase, slice_key
+from .cobar import SlicesBase, slice_key
 from .f2linalg import F2Matrix, bits
 from .grading import RO2Degree
+
+
+def y_chains(r_top: int, s: int, w_min: int):
+    """The monomials y^I with |I| = s, indices r < r_top and weight
+    w = sum of 2^r over I at least w_min, as pairs (I, w); I is an ascending
+    index tuple, in combinations order."""
+    weights = [1 << r for r in range(r_top)]
+    # both streams list the same multisets in the same order
+    for chain, ws in zip(combinations_with_replacement(range(r_top), s),
+                         combinations_with_replacement(weights, s)):
+        w = sum(ws)
+        if w >= w_min:
+            yield chain, w
 
 
 class KoszulComplex(SlicesBase):
     """Koszul chains for one (level, p mod 2^n, weight cut), u inverted."""
 
-    def __init__(self, n: int, p_key: int, e_floor: int, max_dim: int = DEFAULT_MAX_DIM):
-        super().__init__(n, True, p_key, e_floor, max_dim)
+    def __init__(self, n: int, p_key: int, e_floor: int):
+        super().__init__(n, True, p_key, e_floor)
 
     def _chains(self, s: int):
-        for chain in combinations_with_replacement(range(self.n), s):
-            if sum(1 << r for r in chain) >= self.e_floor:
-                yield chain
+        return (chain for chain, _ in y_chains(self.n, s, self.e_floor))
 
     def _assemble(self, s: int) -> F2Matrix:
         src = self.words(s)
@@ -61,7 +72,7 @@ class KoszulComplex(SlicesBase):
 _shared_koszul = functools.lru_cache(maxsize=128)(KoszulComplex)
 
 
-def get_koszul(d: RO2Degree, n: int, max_dim: int = DEFAULT_MAX_DIM) -> KoszulComplex:
+def get_koszul(d: RO2Degree, n: int) -> KoszulComplex:
     """The shared Koszul complex of degree d at level n, u inverted."""
     n, _, p_key, e_floor = slice_key(d, n, True)
-    return _shared_koszul(n, p_key, e_floor, max_dim)
+    return _shared_koszul(n, p_key, e_floor)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass
-from itertools import combinations_with_replacement
 
 from . import cobar
 from .grading import CobarMonomial, RO2Degree, binom_mod2, power_label
 from .hopf import TruncationLevel, check_level, level_str
+from .koszul import y_chains
 
 
 class StageOutOfRangeError(Exception):
@@ -153,15 +153,13 @@ def _y_monomials(r_top: int, s: int, d: RO2Degree, condition,
     a-exponent >= 0 and u-exponent >= k_min (any when None) that pass
     condition, in sort_key order."""
     out = []
-    # a choice of s weights 2^r with repetition is a monomial y_I, |I| = s
-    for ws in combinations_with_replacement([1 << r for r in range(r_top)], s):
-        w = sum(ws)
+    # the a-exponent m = 2 * weight - p - q is >= 0 from this weight floor on
+    for chain, w in y_chains(r_top, s, cobar.ceil_half(d.p + d.q)):
         k = d.p - w
-        m = w - k - d.q
-        if m < 0 or (k_min is not None and k < k_min):
+        if k_min is not None and k < k_min:
             continue
-        powers = tuple(ws.count(1 << r) for r in range(ws[-1].bit_length())) if ws else ()
-        mono = EinftyMonomial(m, k, powers)
+        powers = tuple(chain.count(r) for r in range(chain[-1] + 1)) if chain else ()
+        mono = EinftyMonomial(2 * w - d.p - d.q, k, powers)
         if condition(mono):
             out.append(mono)
     return sorted(out, key=EinftyMonomial.sort_key)
@@ -257,11 +255,12 @@ class CoboundaryCheck:
 
 @dataclass(frozen=True)
 class CoboundaryReport:
+    """Coboundary lemma cases; a report of no case is not ok."""
     checks: tuple[CoboundaryCheck, ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
@@ -349,8 +348,7 @@ def _vanishing_levels(s: int, max_abs_p: int) -> tuple[int, ...]:
 
 def verify_vanishing(p_range: tuple[int, int] = (-8, 8),
                      budget: tuple[int, int] = (-8, -1),
-                     s_max: int = 6,
-                     max_dim: int = cobar.DEFAULT_MAX_DIM) -> cobar.EntriesReport:
+                     s_max: int = 6) -> cobar.EntriesReport:
     """Check that completed Ext vanishes when p + q < 0, except F2{a^(-q)} at
     s = 0, p = 0.  The budget window constrains p + q."""
     if budget[1] >= 0:
@@ -363,7 +361,7 @@ def verify_vanishing(p_range: tuple[int, int] = (-8, 8),
             d = RO2Degree(p, q)
             for s in range(s_max + 1):
                 levels = _vanishing_levels(s, max_abs_p)
-                report = cobar.limit_ext_report(s, d, levels, max_dim)
+                report = cobar.limit_ext_report(s, d, levels)
                 if s == 0 and p == 0:
                     expected_dim, expected_basis = 1, (power_label("a", -q),)
                 else:
@@ -388,6 +386,7 @@ class EinftyMismatch:
 
 @dataclass(frozen=True)
 class EinftyReport:
+    """Closed form against cobar dims; a report of no tridegree is not ok."""
     n: TruncationLevel
     window: int
     s_max: int
@@ -396,7 +395,7 @@ class EinftyReport:
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return self.checked > 0 and not self.mismatches
 
     def lines(self) -> list[str]:
         return [f"n={level_str(self.n)}: {self.checked} tridegrees checked, "
@@ -410,21 +409,21 @@ class EinftyReport:
 
 
 def _einfty_cell(args):
-    n, s, p, q, max_dim = args
+    n, s, p, q = args
     d = RO2Degree(p, q)
-    got = cobar.ext_dim(s, d, n, False, max_dim).dim
+    got = cobar.ext_dim(s, d, n, False).dim
     return s, p, q, got, len(einfty_basis(n, s, d))
 
 
 def verify_einfty(n: TruncationLevel, window: int, s_max: int,
-                  max_dim: int = cobar.DEFAULT_MAX_DIM, map_fn=map) -> EinftyReport:
+                  map_fn=map) -> EinftyReport:
     """Exhaustively compare cobar cohomology dims with the closed-form counts.
 
     map_fn(fn, cells) must return results in cell order; a process pool's
     ordered map fits, since _einfty_cell pickles.
     """
     cells = (
-        (n, s, p, q, max_dim)
+        (n, s, p, q)
         for s in range(s_max + 1)
         for p in range(-window, window + 1)
         for q in range(-window, window + 1)

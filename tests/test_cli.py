@@ -350,3 +350,22 @@ def test_failure_output_bytes(monkeypatch, capsys, argv, owner, name, wrap, dige
     assert cli.main(list(argv)) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+
+
+# windows that hold nothing to check: a gate that checked nothing must fail
+EMPTY_WINDOWS = [
+    ("verify", "axioms", "--nmax", "1", "--letters", "-1", "--window", "-1"),
+    ("verify", "axioms", "--nmax", "0"),
+    ("verify", "einfty", "--n", "1", "--window", "-1"),
+    ("verify", "vanishing", "--smax", "-1"),
+    ("verify", "localization", "--smax", "-1"),
+    ("verify", "coboundary", "--rmax", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_WINDOWS, ids=[" ".join(a) for a in EMPTY_WINDOWS])
+def test_empty_window_fails(capsys, argv):
+    assert cli.main(list(argv)) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["ok"] is False
+    assert "pass" not in out

@@ -168,9 +168,10 @@ def test_localization_identity():
     assert len(report.entries) == 2 * 3 * 49
 
 
-def test_complex_guard():
+def test_complex_guard(slice_cap):
+    slice_cap(1000)
     with pytest.raises(cobar.ComplexTooLargeError):
-        cobar.ext_dim(6, RO2Degree(0, 0), 3, invert_u=True, max_dim=1000)
+        cobar.ext_dim(6, RO2Degree(0, 0), 3, invert_u=True)
 
 
 def _window_reports(cells):

@@ -1,12 +1,13 @@
 import pytest
 
-from cobarext.grading import RO2Degree
+from cobarext.grading import RO2Degree, binom_int
 from cobarext.hopf import (
     LetterOutOfRangeError,
     NegativeConeClass,
     UnboundedCoactionError,
     check_axioms,
     coaction,
+    coaction_letters,
     comult_reduced,
     cone_action,
     cone_element_label,
@@ -56,6 +57,18 @@ def test_negative_u_needs_truncation():
         coaction(0, -1, None)
     with pytest.raises(UnboundedCoactionError):
         eta_r_positive([(0, -1)])
+
+
+def test_coaction_letters_are_the_reduced_coaction():
+    for n in (1, 2, 3, 4, None):
+        for beta in range(-40 if n else 0, 41):
+            top = beta if n is None else 2**n - 1
+            want = tuple(i for i in range(1, top + 1) if binom_int(beta, i) % 2)
+            assert coaction_letters(beta, n) == want, (beta, n)
+            assert coaction(1, beta, n) == frozenset(
+                [(1, beta, 0)] + [(1 + 2 * i, beta - i, i) for i in want])
+    with pytest.raises(UnboundedCoactionError):
+        coaction_letters(-1, None)
 
 
 def test_coaction_inverse_multiplies_to_one():

@@ -20,6 +20,8 @@ def test_koszul_chains_and_differential_examples():
     assert d.apply(1 << 2) == 1 << index[(2, 2)]
     # the weight cut drops chains with alpha < 0
     assert koszul.KoszulComplex(3, 0, 3).words(1) == ((2,),)
+    assert list(koszul.y_chains(3, 2, 3)) == [
+        ((0, 1), 3), ((0, 2), 5), ((1, 1), 4), ((1, 2), 6), ((2, 2), 8)]
 
 
 def test_koszul_restriction_sends_high_indices_to_zero():
@@ -32,19 +34,23 @@ def test_koszul_restriction_sends_high_indices_to_zero():
         hi.restrict(koszul.KoszulComplex(2, 1, 2), 1)
 
 
-def test_koszul_guard_raises_complex_too_large():
-    cx = koszul.KoszulComplex(3, 0, 0, max_dim=20)
+def test_koszul_guard_raises_complex_too_large(slice_cap):
+    slice_cap(20)
+    cx = koszul.KoszulComplex(3, 0, 0)
     assert len(cx.words(4)) == 15
     with pytest.raises(cobar.ComplexTooLargeError):
         cx.words(5)  # C(7, 5) = 21 chains
 
 
-def test_labels_need_the_cobar_slice_within_the_guard():
+def test_labels_need_the_cobar_slice_within_the_guard(slice_cap):
     # the Koszul slices fit under the cap, the cobar label slices do not
-    report = cobar.limit_ext_report(1, RO2Degree(1, 1), (1, 2, 3), max_dim=10)
+    default = cobar.MAX_SLICE_DIM
+    slice_cap(10)
+    report = cobar.limit_ext_report(1, RO2Degree(1, 1), (1, 2, 3))
     assert report.stabilized and report.limit_dim == 1
     with pytest.raises(cobar.ComplexTooLargeError):
         report.basis_labels
+    slice_cap(default)
     assert cobar.limit_ext_report(1, RO2Degree(1, 1), (1, 2, 3)).basis_labels == ("[x]",)
 
 
