@@ -148,7 +148,7 @@ def conjectural_d2_overlay(dots: list[ChartDot]) -> OverlayResult:
     for dot in sorted(dots, key=ChartDot.sort_key):
         mono = parse_einfty_label(dot.label)
         for target in d2_targets(mono):
-            if not xadic.completed_admissible(target):
+            if not target.admissible(None):
                 # zero in the limit page
                 dropped.append(DroppedArrow(dot, target.label(), "target inadmissible"))
                 continue

@@ -244,7 +244,7 @@ def cmd_etar(args) -> int:
         if mono.beta < 0:
             raise UsageError(
                 "negative u-powers have no polynomial expansion; --theta handles the cone")
-        terms = hopf.eta_r_positive([(mono.alpha, mono.beta)])
+        terms = hopf.coaction(mono.alpha, mono.beta, None)
         emit(hopf.positive_element_label(terms) + "\n", args.out)
     return 0
 

@@ -16,8 +16,10 @@ A slice complex (SlicesBase: SliceComplex here, KoszulComplex in koszul.py)
 memoises, per s, its chain list and index, its differential matrix, its
 cohomology, and the images of its cohomology in lower complexes of its
 model, keyed by the lower complex's cache key and s.  No memo holds a lower
-complex.  Cobar is the reference: fixed-level Ext and every label come from
-it, while limit_ext_report certifies dims on the Koszul complexes.
+complex.  A model supplies the hooks `_chains`, `_targets` and `_legal`;
+the base assembles every matrix and `_truncation_map` restricts every model
+to a lower level.  Cobar is the reference: fixed-level Ext and every label come from it, while
+limit_ext_report certifies dims on the Koszul complexes.
 """
 
 from __future__ import annotations
@@ -84,10 +86,11 @@ def _words(s: int, cap: int, hi: int):
 
 
 class SlicesBase:
-    """The memos of one slice complex.  A model supplies `_chains(s)` (its
-    basis in canonical order), `_assemble(s)` (d from slice s to s+1) and
-    `restrict(lower, s)` (the index map into a lower complex, None for
-    chains that map to 0)."""
+    """The memos and the assembly of one slice complex.  A model supplies
+    `_chains(s)` (the basis of slice s in canonical order), `_targets(chain)`
+    (the chains of slice s+1 in d(chain), repeats cancelling) and
+    `_legal(chain)` (every letter exists at this complex's level, which
+    `_truncation_map` asks of the lower complex)."""
 
     def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
         self.n = n
@@ -102,7 +105,7 @@ class SlicesBase:
 
     def words(self, s: int) -> tuple[tuple[int, ...], ...]:
         if s < 0:
-            return ()
+            raise ValueError(f"no slice at negative filtration s={s}")
         got = self._words.get(s)
         if got is not None:
             return got
@@ -122,11 +125,25 @@ class SlicesBase:
     def matrix(self, s: int) -> F2Matrix:
         """Differential from slice s to slice s+1 in the shared chain bases."""
         got = self._matrices.get(s)
-        if got is None:
-            got = self._matrices[s] = self._assemble(s)
+        if got is not None:
+            return got
+        src = self.words(s)
+        tgt_index = self.index(s + 1)
+        rows = [0] * len(tgt_index)
+        for j, chain in enumerate(src):
+            bit = 1 << j
+            for target in self._targets(chain):
+                try:
+                    t = tgt_index[target]
+                except KeyError:
+                    raise AssertionError(f"boundary target {target} of {chain} missing") from None
+                rows[t] ^= bit
+        got = self._matrices[s] = F2Matrix(len(rows), len(src), tuple(rows))
         return got
 
     def cohomology(self, s: int) -> CohomologyResult:
+        if s < 0:
+            raise ValueError(f"no Ext at negative filtration s={s}")
         got = self._cohom.get(s)
         if got is not None:
             return got
@@ -165,26 +182,16 @@ class SliceComplex(SlicesBase):
             if sum(w) >= lo:
                 yield w
 
-    def _assemble(self, s: int) -> F2Matrix:
-        src = self.words(s)
-        tgt_index = self.index(s + 1)
-        rows = [0] * len(tgt_index)
-        for j, word in enumerate(src):
-            for i in coaction_letters(self.p_key - sum(word), self.n):
-                t = tgt_index.get((i,) + word)
-                if t is None:
-                    raise AssertionError(f"coaction target missing for {word}, x^{i}")
-                rows[t] ^= 1 << j
-            for slot, e in enumerate(word):
-                for i1, i2 in comult_reduced(e, self.n):
-                    t = tgt_index.get(word[:slot] + (i1, i2) + word[slot + 1:])
-                    if t is None:
-                        raise AssertionError(f"split target missing for {word}")
-                    rows[t] ^= 1 << j
-        return F2Matrix(len(rows), len(src), tuple(rows))
+    def _targets(self, word: tuple[int, ...]):
+        for i in coaction_letters(self.p_key - sum(word), self.n):
+            yield (i,) + word
+        for slot, e in enumerate(word):
+            for i1, i2 in comult_reduced(e, self.n):
+                yield word[:slot] + (i1, i2) + word[slot + 1:]
 
-    def restrict(self, lo: "SliceComplex", s: int) -> list[int | None]:
-        return _truncation_map(self, lo, s)
+    def _legal(self, word: tuple[int, ...]) -> bool:
+        cap = letter_cap(self.n)
+        return cap is None or max(word, default=0) <= cap
 
 
 _shared_complex = functools.lru_cache(maxsize=128)(SliceComplex)
@@ -266,20 +273,20 @@ def ext_dim(s: int, d: RO2Degree, n: TruncationLevel,
     return ExtResult(s, d, n, invert_u, res.dim, res.representatives, cx.words(s))
 
 
-def _truncation_map(src: SliceComplex, dst: SliceComplex, s: int) -> list[int | None]:
-    """Index map for slotwise reduction from a higher level to a lower one.
+def _truncation_map(src: SlicesBase, dst: SlicesBase, s: int) -> list[int | None]:
+    """Index map of slice s of src into slice s of a lower complex dst of the
+    same model, None for the chains that leave dst's level (they map to 0).
 
-    Between two complexes at the same level every word survives, and the map
-    is the inclusion of word bases (multiplication by a, for instance).
-    Words are looked up first; only a word missing downstairs is tested
-    against the letter cap, and it must exceed it."""
-    cap = letter_cap(dst.n)
+    Between two complexes at the same level every chain survives, and the
+    map is the inclusion of chain bases (multiplication by a, for instance).
+    Chains are looked up first; only a chain missing downstairs is tested
+    with dst._legal, and it must be illegal there."""
     dst_index = dst.index(s)
     out: list[int | None] = []
-    for w in src.words(s):
-        t = dst_index.get(w)
-        if t is None and (cap is None or max(w, default=0) <= cap):
-            raise AssertionError(f"truncated word {w} missing downstairs")
+    for chain in src.words(s):
+        t = dst_index.get(chain)
+        if t is None and dst._legal(chain):
+            raise AssertionError(f"restricted chain {chain} missing downstairs")
         out.append(t)
     return out
 
@@ -347,8 +354,8 @@ class LimitReport:
 def _image_in_lower(hi: SlicesBase, lo: SlicesBase,
                     s: int) -> tuple[int, tuple[int, ...]]:
     """Dimension and representatives of the image of H(hi) in H(lo) at slice s,
-    under the index map that hi.restrict(lo, s) gives; hi and lo are
-    complexes of one model.
+    under the index map that _truncation_map(hi, lo, s) gives; hi and lo
+    are complexes of one model.
 
     Memoised on hi under lo's cache key and s; a call that raises stores
     nothing."""
@@ -356,7 +363,7 @@ def _image_in_lower(hi: SlicesBase, lo: SlicesBase,
     got = hi._images.get(key)
     if got is not None:
         return got
-    index_map = hi.restrict(lo, s)
+    index_map = _truncation_map(hi, lo, s)
     d_out = lo.matrix(s)
     pivots: dict[int, int] = {}
     if s > 0:

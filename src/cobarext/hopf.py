@@ -8,7 +8,8 @@ psi(u) = u (x) 1 + a^2 (x) x, which on monomials expands to
     psi(a^alpha u^beta) = sum_i C(beta, i) a^(alpha+2i) u^(beta-i) (x) x^i
 
 with i running over 0 <= i < 2^n.  Right units: on the polynomial part
-eta_r(u) = u + a^2 x; on the two-sided torsion cone the classes
+eta_r(u) = u + a^2 x, so eta_r(a^alpha u^beta) is the untruncated coaction
+coaction(alpha, beta, None); on the two-sided torsion cone the classes
 theta/(a^i u^j) expand per eta_r_negative.
 
 Elements are modeled as frozensets of coefficient tuples; addition is
@@ -98,22 +99,6 @@ def coaction(alpha: int, beta: int, n: TruncationLevel) -> frozenset[tuple[int, 
 
 class UnboundedCoactionError(Exception):
     """The requested expansion would have infinitely many terms."""
-
-
-def eta_r_positive(monomials) -> frozenset[tuple[int, int, int]]:
-    """Right unit on a polynomial element, given as (alpha, beta) pairs.
-
-    Returns triples (alpha', beta', k) meaning a^alpha' u^beta' x^k; no
-    truncation is applied (beta >= 0 keeps the expansion finite).
-    """
-    acc: set[tuple[int, int, int]] = set()
-    for alpha, beta in monomials:
-        if beta < 0:
-            raise UnboundedCoactionError("eta_r on negative u-powers is not polynomial")
-        for i in range(beta + 1):
-            if binom_mod2(beta, i):
-                acc ^= {(alpha + 2 * i, beta - i, i)}
-    return frozenset(acc)
 
 
 @dataclass(frozen=True)
@@ -331,17 +316,17 @@ def check_axioms(
         # on the polynomial part, untruncated
         m1, m2 = pair
         rhs: set[tuple[int, int, int]] = set()
-        for a1, b1, k1 in eta_r_positive([m1]):
-            for a2, b2, k2 in eta_r_positive([m2]):
+        for a1, b1, k1 in coaction(*m1, None):
+            for a2, b2, k2 in coaction(*m2, None):
                 rhs ^= {(a1 + a2, b1 + b2, k1 + k2)}
-        return set(eta_r_positive([(m1[0] + m2[0], m1[1] + m2[1])])) == rhs
+        return set(coaction(m1[0] + m2[0], m1[1] + m2[1], None)) == rhs
 
     def cone_compatible(case):
         c, (alpha, beta) = case
         acted = cone_action(alpha, beta, c)
         lhs = eta_r_negative(acted) if acted is not None else frozenset()
         rhs: set[tuple[NegativeConeClass, int]] = set()
-        for a1, b1, k1 in eta_r_positive([(alpha, beta)]):
+        for a1, b1, k1 in coaction(alpha, beta, None):
             for cls, k2 in eta_r_negative(c):
                 cls2 = cone_action(a1, b1, cls)
                 if cls2 is not None:

@@ -9,7 +9,10 @@ beta = p - w, alpha = 2w - p - q >= 0, and differential
 d(y^I) = sum of y^(I + e_r) over the set bits r of beta.  That is at most
 C(n+s-1, s) chains per slice, against about (2^n - 1)^s cobar words.
 Complexes are shared under the cobar key (n, True, p mod 2^n, e_floor) in
-their own LRU.  Restriction to a lower level sends y_r to 0, r >= lo.n.
+their own LRU.  The model supplies the three hooks of cobar.SlicesBase:
+`_chains`, `_targets` (the terms of d above) and `_legal` (every index
+below n).  The base assembles the matrices, and cobar._truncation_map
+restricts to a lower level, sending y_r to 0 for r >= lo.n.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import functools
 from itertools import combinations_with_replacement
 
 from .cobar import SlicesBase, slice_key
-from .f2linalg import F2Matrix, bits
+from .f2linalg import bits
 from .grading import RO2Degree
 
 
@@ -44,29 +47,13 @@ class KoszulComplex(SlicesBase):
     def _chains(self, s: int):
         return (chain for chain, _ in y_chains(self.n, s, self.e_floor))
 
-    def _assemble(self, s: int) -> F2Matrix:
-        src = self.words(s)
-        tgt_index = self.index(s + 1)
-        rows = [0] * len(tgt_index)
-        low_bits = (1 << self.n) - 1
-        for j, chain in enumerate(src):
-            beta = self.p_key - sum(1 << r for r in chain)
-            for r in bits(beta & low_bits):
-                rows[tgt_index[tuple(sorted(chain + (r,)))]] ^= 1 << j
-        return F2Matrix(len(rows), len(src), tuple(rows))
+    def _targets(self, chain: tuple[int, ...]):
+        beta = self.p_key - sum(1 << r for r in chain)
+        for r in bits(beta & ((1 << self.n) - 1)):
+            yield tuple(sorted(chain + (r,)))
 
-    def restrict(self, lo: "KoszulComplex", s: int) -> list[int | None]:
-        """Index map of y_r -> 0 (r >= lo.n) into lo's slice s.
-
-        A chain whose indices all lie below lo.n must exist downstairs."""
-        lo_index = lo.index(s)
-        out: list[int | None] = []
-        for chain in self.words(s):
-            t = lo_index.get(chain)
-            if t is None and max(chain, default=-1) < lo.n:
-                raise AssertionError(f"restricted chain {chain} missing downstairs")
-            out.append(t)
-        return out
+    def _legal(self, chain: tuple[int, ...]) -> bool:
+        return max(chain, default=-1) < self.n
 
 
 _shared_koszul = functools.lru_cache(maxsize=128)(KoszulComplex)

@@ -63,7 +63,9 @@ class EinftyMonomial:
         return RO2Degree(self.k + w, -self.m - self.k + w)
 
     def admissible(self, n: TruncationLevel) -> bool:
-        """Basis condition for the limit page at level n."""
+        """Basis condition for the limit page at level n.  At n = None it is
+        also the completed limit page's condition (u inverted, all levels):
+        the untruncated condition, read for any sign of the u-exponent."""
         check_level(n)
         if n is not None and len(self.powers) > n:
             return False
@@ -176,12 +178,6 @@ def einfty_basis(n: TruncationLevel, s: int, d: RO2Degree) -> list[EinftyMonomia
     return _monomials(n, s, d, lambda mono: mono.admissible(n))
 
 
-def completed_admissible(mono: EinftyMonomial) -> bool:
-    """Basis condition for the completed limit page (u inverted, all levels):
-    the untruncated condition, read for any sign of the u-exponent."""
-    return mono.admissible(None)
-
-
 def completed_basis(s: int, d: RO2Degree) -> list[EinftyMonomial]:
     """Admissible completed monomials (u-exponent any integer) in (s, d).
 
@@ -189,7 +185,7 @@ def completed_basis(s: int, d: RO2Degree) -> list[EinftyMonomial]:
     [0, 2^(min index + 1) - 1], which bounds the usable y-indices.
     """
     r_top = max(4, (abs(d.p) + abs(d.q) + 2).bit_length() + 1) + 1
-    return _y_monomials(r_top, s, d, completed_admissible)
+    return _y_monomials(r_top, s, d, lambda mono: mono.admissible(None))
 
 
 def xadic_stage(n: TruncationLevel, t: int, s: int, d: RO2Degree) -> list[EinftyMonomial]:

@@ -210,6 +210,21 @@ def test_bad_range_is_usage_error():
     assert run("ext-table", "--n", "0", "--p", "0..0").returncode == 2
 
 
+NEGATIVE_FILTRATION = [
+    ("ext", "--n", "2", "--s", "-1", "--p", "0", "--q", "0"),
+    ("limit-ext", "--s", "-1", "--p", "0", "--q", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_FILTRATION,
+                         ids=[" ".join(a) for a in NEGATIVE_FILTRATION])
+def test_negative_filtration_is_usage_error(argv):
+    r = run(*argv)
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "s=-1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_limit_ext_deep_cell():
     # s = 5 at level 3 took about 280 s on cobar towers
     r = run("limit-ext", "--s", "5", "--p", "5", "--q", "-3", "--start", "1",

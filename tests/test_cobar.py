@@ -201,15 +201,14 @@ def test_tower_image_memo_keeps_reports_and_maps_each_triple_once(monkeypatch):
     # truncate cobar complexes
     maps = {"cobar": Counter(), "koszul": Counter()}
 
-    def counting(model, fn):
+    def counting(fn):
         def counted(src, dst, s):
+            model = "koszul" if isinstance(src, koszul.KoszulComplex) else "cobar"
             maps[model][key(src), key(dst), s] += 1
             return fn(src, dst, s)
         return counted
 
-    monkeypatch.setattr(cobar, "_truncation_map", counting("cobar", cobar._truncation_map))
-    monkeypatch.setattr(koszul.KoszulComplex, "restrict",
-                        counting("koszul", koszul.KoszulComplex.restrict))
+    monkeypatch.setattr(cobar, "_truncation_map", counting(cobar._truncation_map))
     _clear_complex_caches()
     cold = _window_reports(TOWER_WINDOW)
     warm = _window_reports(TOWER_WINDOW)
@@ -232,6 +231,21 @@ def test_tower_image_memo_stores_no_error():
             with pytest.raises(AssertionError, match="missing downstairs"):
                 cobar._image_in_lower(hi, lo, 1)
         assert not hi._images
+
+
+@pytest.mark.parametrize("cx", [cobar.SliceComplex(2, True, 1, 0),
+                                koszul.KoszulComplex(2, 1, 0)],
+                         ids=["cobar", "koszul"])
+def test_matrix_rejects_a_boundary_target_outside_the_next_slice(monkeypatch, cx):
+    targets = type(cx)._targets
+
+    def one_too_many(self, chain):
+        yield from targets(self, chain)
+        yield (99,) + chain
+
+    monkeypatch.setattr(type(cx), "_targets", one_too_many)
+    with pytest.raises(AssertionError, match="missing"):
+        cx.matrix(1)
 
 
 def _basis_window():

@@ -12,7 +12,6 @@ from cobarext.hopf import (
     cone_action,
     cone_element_label,
     eta_r_negative,
-    eta_r_positive,
     positive_element_label,
 )
 
@@ -55,8 +54,6 @@ def test_coaction_level1_square():
 def test_negative_u_needs_truncation():
     with pytest.raises(UnboundedCoactionError):
         coaction(0, -1, None)
-    with pytest.raises(UnboundedCoactionError):
-        eta_r_positive([(0, -1)])
 
 
 def test_coaction_letters_are_the_reduced_coaction():
@@ -91,11 +88,12 @@ def test_coaction_degree_homogeneous():
 
 
 def test_eta_r_positive_examples():
-    assert eta_r_positive([(0, 1)]) == frozenset({(0, 1, 0), (2, 0, 1)})
-    assert eta_r_positive([(5, 0)]) == frozenset({(5, 0, 0)})
-    assert eta_r_positive([(0, 2)]) == frozenset({(0, 2, 0), (4, 0, 2)})
-    assert positive_element_label(eta_r_positive([(0, 1)])) == "u + a^2 x"
-    assert positive_element_label(eta_r_positive([(3, 0)])) == "a^3"
+    # on the polynomial part the right unit is the untruncated coaction
+    assert coaction(0, 1, None) == frozenset({(0, 1, 0), (2, 0, 1)})
+    assert coaction(5, 0, None) == frozenset({(5, 0, 0)})
+    assert coaction(0, 2, None) == frozenset({(0, 2, 0), (4, 0, 2)})
+    assert positive_element_label(coaction(0, 1, None)) == "u + a^2 x"
+    assert positive_element_label(coaction(3, 0, None)) == "a^3"
 
 
 def test_eta_r_negative_examples():

@@ -13,6 +13,8 @@ def test_koszul_chains_and_differential_examples():
     cx = koszul.KoszulComplex(3, 0, 0)
     assert len(cx.words(4)) == 15  # C(3+4-1, 4)
     assert cx.words(1) == ((0,), (1,), (2,))
+    with pytest.raises(ValueError, match="s=-1"):
+        cx.words(-1)
     # beta = 0 - weight: d(y_0) has bits 0..2 of -1 set, d(y_2) only bit 2 of -4
     d = cx.matrix(1)
     index = cx.index(2)
@@ -28,10 +30,10 @@ def test_koszul_restriction_sends_high_indices_to_zero():
     hi = koszul.KoszulComplex(3, 1, 0)
     lo = koszul.KoszulComplex(2, 1, 0)
     index = lo.index(2)
-    assert hi.restrict(lo, 2) == [index.get(c) if max(c) < 2 else None
-                                  for c in hi.words(2)]
+    assert cobar._truncation_map(hi, lo, 2) == [index.get(c) if max(c) < 2 else None
+                                                for c in hi.words(2)]
     with pytest.raises(AssertionError, match="missing downstairs"):
-        hi.restrict(koszul.KoszulComplex(2, 1, 2), 1)
+        cobar._truncation_map(hi, koszul.KoszulComplex(2, 1, 2), 1)
 
 
 def test_koszul_guard_raises_complex_too_large(slice_cap):
