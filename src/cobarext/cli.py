@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(c)
     c.set_defaults(func=cmd_verify_coboundary)
 
-    c = checks.add_parser("einfty", help="cobar dims equal closed-form counts")
+    c = checks.add_parser("einfty", help="Koszul dims equal closed-form counts")
     c.add_argument("--n", required=True, help="truncation level, or 'inf'")
     c.add_argument("--window", type=int, default=8, help="|p|, |q| bound")
     c.add_argument("--smax", type=int, default=4)

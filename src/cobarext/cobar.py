@@ -18,8 +18,11 @@ cohomology, and the images of its cohomology in lower complexes of its
 model, keyed by the lower complex's cache key and s.  No memo holds a lower
 complex.  A model supplies the hooks `_chains`, `_targets` and `_legal`;
 the base assembles every matrix and `_truncation_map` restricts every model
-to a lower level.  Cobar is the reference: fixed-level Ext and every label come from it, while
-limit_ext_report certifies dims on the Koszul complexes.
+to a lower level.  Both models share one key, slice_key.  Cobar is the
+reference: `ext`, `ext-table` and every label come from it.  Callers that
+read only dims take them from the Koszul complexes: limit_ext_report's
+certificates, verify_localization and a_multiplication_rank here, and
+xadic.verify_einfty.
 """
 
 from __future__ import annotations
@@ -85,14 +88,24 @@ def _words(s: int, cap: int, hi: int):
     yield from rec(0, hi)
 
 
+def _check_key(n: TruncationLevel, invert_u: bool) -> None:
+    check_level(n)
+    if invert_u and n is None:
+        raise UnboundedBasisError(
+            "u inverted at the untruncated level: use the limit over levels"
+        )
+
+
 class SlicesBase:
-    """The memos and the assembly of one slice complex.  A model supplies
-    `_chains(s)` (the basis of slice s in canonical order), `_targets(chain)`
-    (the chains of slice s+1 in d(chain), repeats cancelling) and
-    `_legal(chain)` (every letter exists at this complex's level, which
-    `_truncation_map` asks of the lower complex)."""
+    """The memos and the assembly of one slice complex, built from its
+    slice_key.  A model supplies `_chains(s)` (the basis of slice s in
+    canonical order), `_targets(chain)` (the chains of slice s+1 in
+    d(chain), repeats cancelling) and `_legal(chain)` (every letter exists
+    at this complex's level, which `_truncation_map` asks of the lower
+    complex)."""
 
     def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
+        _check_key(n, invert_u)
         self.n = n
         self.invert_u = invert_u
         self.p_key = p_key
@@ -163,14 +176,6 @@ class SliceComplex(SlicesBase):
     p mod 2^n when u is inverted (only binomial parities remain).
     """
 
-    def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
-        check_level(n)
-        if invert_u and n is None:
-            raise UnboundedBasisError(
-                "u inverted at the untruncated level: use the limit over levels"
-            )
-        super().__init__(n, invert_u, p_key, e_floor)
-
     def _chains(self, s: int):
         cap = letter_cap(self.n)
         if self.invert_u:
@@ -198,16 +203,10 @@ _shared_complex = functools.lru_cache(maxsize=128)(SliceComplex)
 
 
 def slice_key(d: RO2Degree, n: TruncationLevel, invert_u: bool) -> tuple:
-    """Cache key (n, invert_u, p_key, e_floor) of the slice complexes of d."""
-    check_level(n)
-    if invert_u:
-        if n is None:
-            raise UnboundedBasisError(
-                "u inverted at the untruncated level: use the limit over levels"
-            )
-        p_key = d.p % 2**n
-    else:
-        p_key = d.p
+    """Cache key (n, invert_u, p_key, e_floor) of the slice complexes of d,
+    cobar and Koszul alike."""
+    _check_key(n, invert_u)
+    p_key = d.p % 2**n if invert_u else d.p
     e_floor = max(0, ceil_half(d.p + d.q))
     if not invert_u:
         e_floor = min(e_floor, max(d.p, 0) + 1)
@@ -410,8 +409,9 @@ def limit_ext_report(s: int, d: RO2Degree, levels) -> LimitReport:
     """Tower of completed Ext over the given truncation levels (u inverted).
 
     Levels must be ascending ints.  Dims, images and the certificate come
-    from Koszul complexes, labels from cobar when read.  The two-level rule
-    is a weaker check and no certificate of the limit (README).
+    from the u-inverted Koszul complexes of get_koszul, labels from cobar
+    when read.  The two-level rule is a weaker check and no certificate of
+    the limit (README).
 
     Either rule only attests to the inspected window: a class born
     above the top level is invisible, so callers must place the window at
@@ -436,13 +436,17 @@ def limit_ext_dim(s: int, d: RO2Degree, n_start: int = 1, depth: int = 3) -> Lim
 
 def a_multiplication_rank(s: int, d: RO2Degree, n: TruncationLevel,
                           invert_u: bool = False) -> int:
-    """Rank of multiplication by a on cohomology, Ext(s, d) -> Ext(s, d+(0,-1)).
+    """Rank of multiplication by a on cohomology, Ext(s, d) -> Ext(s, d+(0,-1)),
+    on the Koszul complexes.
 
-    Multiplying by a keeps every bar word and only raises its a-exponent, so
-    on word bases it is the same-level case of _truncation_map.
+    Multiplying by a keeps every chain and only raises its a-exponent, so
+    on chain bases it is the same-level case of _truncation_map, in either
+    model (the tests compare with cobar).
     """
-    src = get_complex(d, n, invert_u)
-    tgt = get_complex(RO2Degree(d.p, d.q - 1), n, invert_u)
+    from .koszul import get_koszul  # koszul.py builds on this module
+
+    src = get_koszul(d, n, invert_u)
+    tgt = get_koszul(RO2Degree(d.p, d.q - 1), n, invert_u)
     return _image_in_lower(src, tgt, s)[0]
 
 
@@ -508,8 +512,11 @@ def verify_localization(n_values=(1, 2), window: int = 6,
     clears every denominator a slice could carry (weight of slices s-1..s+1
     is at most (s+1)(2^n - 1)), which is where multiplication by u^(2^n)
     has become an isomorphism.  Inverted dims are also checked to be
-    u^(2^n)-periodic.
+    u^(2^n)-periodic.  Every dim is read from the Koszul complex (the
+    tests recompute them on cobar).
     """
+    from .koszul import get_koszul  # koszul.py builds on this module
+
     entries = []
     for n in n_values:
         period = 2**n
@@ -518,15 +525,15 @@ def verify_localization(n_values=(1, 2), window: int = 6,
             for p in range(-window, window + 1):
                 for q in range(-window, window + 1):
                     d = RO2Degree(p, q)
-                    inv = ext_dim(s, d, n, True).dim
+                    inv = get_koszul(d, n, True).cohomology(s).dim
                     shift = RO2Degree(period, -period)
-                    inv_shifted = ext_dim(s, d + shift, n, True).dim
+                    inv_shifted = get_koszul(d + shift, n, True).cohomology(s).dim
                     t_suff = 1
                     while p + t_suff * period < (s + 1) * cap:
                         t_suff += 1
                     t_pair = (t_suff + 1, t_suff + 2)
                     dims = tuple(
-                        ext_dim(s, d + shift.scaled(t), n, False).dim
+                        get_koszul(d + shift.scaled(t), n, False).cohomology(s).dim
                         for t in t_pair
                     )
                     entries.append(LocalizationEntry(

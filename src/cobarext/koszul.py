@@ -1,18 +1,22 @@
-"""Koszul complex slices: the small model of completed Ext (u inverted,
-integer levels).
+"""Koszul complex slices: the small model of Ext, for both u flags and at
+every level, the untruncated one included.
 
 The dual of F2[x]/x^(2^n) is exterior on gamma_(2^r), r < n, so the Koszul
 complex (Priddy, Koszul resolutions, Trans. AMS 152, 1970) computes the
 cobar complex's Ext from chains a^alpha u^beta y^I, I a multiset of s
 indices r < n (an ascending tuple here), weight w = sum of 2^r over I,
 beta = p - w, alpha = 2w - p - q >= 0, and differential
-d(y^I) = sum of y^(I + e_r) over the set bits r of beta.  That is at most
-C(n+s-1, s) chains per slice, against about (2^n - 1)^s cobar words.
-Complexes are shared under the cobar key (n, True, p mod 2^n, e_floor) in
-their own LRU.  The model supplies the three hooks of cobar.SlicesBase:
-`_chains`, `_targets` (the terms of d above) and `_legal` (every index
-below n).  The base assembles the matrices, and cobar._truncation_map
-restricts to a lower level, sending y_r to 0 for r >= lo.n.
+d(y^I) = sum of y^(I + e_r) over the set bits r of beta below n.  That is at
+most C(n+s-1, s) chains per slice, against about (2^n - 1)^s cobar words.
+With u not inverted a chain also needs beta >= 0, i.e. w <= p; d keeps that,
+since it adds y_r only when bit r of beta is set.  At the untruncated level
+(n = None, u not inverted) the indices run below bit_length(max(p, 0)) and
+every bit of beta is used.  Complexes are shared under the cobar key
+(n, invert_u, p_key, e_floor) in their own LRU.  The model supplies the three
+hooks of cobar.SlicesBase: `_chains`, `_targets` (the terms of d above) and
+`_legal` (every index below n).  The base assembles the matrices, and
+cobar._truncation_map restricts to a lower level, sending y_r to 0 for
+r >= lo.n.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from itertools import combinations_with_replacement
 from .cobar import SlicesBase, slice_key
 from .f2linalg import bits
 from .grading import RO2Degree
+from .hopf import TruncationLevel
 
 
 def y_chains(r_top: int, s: int, w_min: int):
@@ -39,27 +44,34 @@ def y_chains(r_top: int, s: int, w_min: int):
 
 
 class KoszulComplex(SlicesBase):
-    """Koszul chains for one (level, p mod 2^n, weight cut), u inverted."""
+    """Koszul chains for one slice key (level, u flag, p key, weight cut)."""
 
-    def __init__(self, n: int, p_key: int, e_floor: int):
-        super().__init__(n, True, p_key, e_floor)
+    def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
+        super().__init__(n, invert_u, p_key, e_floor)
+        # with u not inverted, w <= p bounds every index: 2^r <= p
+        top = n if invert_u else max(p_key, 0).bit_length()
+        self._r_top = top if n is None else min(top, n)
+        self._mask = (1 << self._r_top) - 1
 
     def _chains(self, s: int):
-        return (chain for chain, _ in y_chains(self.n, s, self.e_floor))
+        chains = y_chains(self._r_top, s, self.e_floor)
+        if self.invert_u:
+            return (chain for chain, _ in chains)
+        return (chain for chain, w in chains if w <= self.p_key)
 
     def _targets(self, chain: tuple[int, ...]):
         beta = self.p_key - sum(1 << r for r in chain)
-        for r in bits(beta & ((1 << self.n) - 1)):
+        for r in bits(beta & self._mask):
             yield tuple(sorted(chain + (r,)))
 
     def _legal(self, chain: tuple[int, ...]) -> bool:
-        return max(chain, default=-1) < self.n
+        return self.n is None or max(chain, default=-1) < self.n
 
 
 _shared_koszul = functools.lru_cache(maxsize=128)(KoszulComplex)
 
 
-def get_koszul(d: RO2Degree, n: int) -> KoszulComplex:
-    """The shared Koszul complex of degree d at level n, u inverted."""
-    n, _, p_key, e_floor = slice_key(d, n, True)
-    return _shared_koszul(n, p_key, e_floor)
+def get_koszul(d: RO2Degree, n: TruncationLevel, invert_u: bool = True) -> KoszulComplex:
+    """The shared Koszul complex of degree d at level n, under cobar's
+    slice_key; n = None needs u not inverted (UnboundedBasisError)."""
+    return _shared_koszul(*slice_key(d, n, invert_u))

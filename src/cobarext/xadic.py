@@ -7,7 +7,8 @@ stage-t differential d(a^m u^(2^t l) y_I) = l * a^(m+2^(t+1)) u^(2^t(l-1))
 y_I y_t, produces the final admissible basis (stage n, one page rule in
 EinftyMonomial.admissible), and hosts the verifiers
 that cross-check the closed forms against computed cohomology: fixed-level
-dims against brute-force cobar cohomology, and the completed vanishing
+dims against the Koszul complex (u not inverted, finite levels and inf;
+the tests check those dims against cobar), and the completed vanishing
 range against Koszul level towers whose labels come from cobar.  The
 monomials are the names charts draw: each chart dot carries its
 EinftyMonomial, so no label is ever parsed back.
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass
 from . import cobar
 from .grading import CobarMonomial, RO2Degree, binom_mod2, power_label
 from .hopf import TruncationLevel, check_level, level_str
-from .koszul import y_chains
+from .koszul import get_koszul, y_chains
 
 
 class StageOutOfRangeError(Exception):
@@ -336,7 +337,8 @@ class EinftyMismatch:
 
 @dataclass(frozen=True)
 class EinftyReport:
-    """Closed form against cobar dims; a report of no tridegree is not ok."""
+    """Closed form against Koszul dims (u not inverted); a report of no
+    tridegree is not ok."""
     n: TruncationLevel
     window: int
     s_max: int
@@ -361,13 +363,14 @@ class EinftyReport:
 def _einfty_cell(args):
     n, s, p, q = args
     d = RO2Degree(p, q)
-    got = cobar.ext_dim(s, d, n, False).dim
+    got = get_koszul(d, n, False).cohomology(s).dim
     return s, p, q, got, len(einfty_basis(n, s, d))
 
 
 def verify_einfty(n: TruncationLevel, window: int, s_max: int,
                   map_fn=map) -> EinftyReport:
-    """Exhaustively compare cobar cohomology dims with the closed-form counts.
+    """Exhaustively compare Ext dims, from the Koszul complex with u not
+    inverted, with the closed-form counts.
 
     map_fn(fn, cells) must return results in cell order; a process pool's
     ordered map fits, since _einfty_cell pickles.

@@ -166,6 +166,12 @@ def test_localization_identity():
     report = cobar.verify_localization(n_values=(1, 2), window=3, s_max=2)
     assert report.ok
     assert len(report.entries) == 2 * 3 * 49
+    # the report reads Koszul dims; cobar recomputes every one of them
+    for e in report.entries:
+        d, shift = RO2Degree(e.p, e.q), RO2Degree(2**e.n, -2**e.n)
+        assert cobar.ext_dim(e.s, d, e.n, True).dim == e.inverted_dim, e
+        assert tuple(cobar.ext_dim(e.s, d + shift.scaled(t), e.n, False).dim
+                     for t in e.shifts) == e.shifted_dims, e
 
 
 def test_complex_guard(slice_cap):
@@ -225,8 +231,8 @@ def test_tower_image_memo_keeps_reports_and_maps_each_triple_once(monkeypatch):
 
 def test_tower_image_memo_stores_no_error():
     # in both models the higher weight cut drops a chain within the lower level
-    for hi, lo in ((cobar.SliceComplex(2, True, 1, 0), cobar.SliceComplex(1, True, 1, 2)),
-                   (koszul.KoszulComplex(2, 1, 0), koszul.KoszulComplex(1, 1, 2))):
+    for model in (cobar.SliceComplex, koszul.KoszulComplex):
+        hi, lo = model(2, True, 1, 0), model(1, True, 1, 2)
         for _ in range(2):
             with pytest.raises(AssertionError, match="missing downstairs"):
                 cobar._image_in_lower(hi, lo, 1)
@@ -234,7 +240,7 @@ def test_tower_image_memo_stores_no_error():
 
 
 @pytest.mark.parametrize("cx", [cobar.SliceComplex(2, True, 1, 0),
-                                koszul.KoszulComplex(2, 1, 0)],
+                                koszul.KoszulComplex(2, True, 1, 0)],
                          ids=["cobar", "koszul"])
 def test_matrix_rejects_a_boundary_target_outside_the_next_slice(monkeypatch, cx):
     targets = type(cx)._targets

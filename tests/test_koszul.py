@@ -10,7 +10,7 @@ from cobarext.grading import RO2Degree
 
 
 def test_koszul_chains_and_differential_examples():
-    cx = koszul.KoszulComplex(3, 0, 0)
+    cx = koszul.KoszulComplex(3, True, 0, 0)
     assert len(cx.words(4)) == 15  # C(3+4-1, 4)
     assert cx.words(1) == ((0,), (1,), (2,))
     with pytest.raises(ValueError, match="s=-1"):
@@ -21,24 +21,48 @@ def test_koszul_chains_and_differential_examples():
     assert d.apply(1 << 0) == sum(1 << index[c] for c in ((0, 0), (0, 1), (0, 2)))
     assert d.apply(1 << 2) == 1 << index[(2, 2)]
     # the weight cut drops chains with alpha < 0
-    assert koszul.KoszulComplex(3, 0, 3).words(1) == ((2,),)
+    assert koszul.KoszulComplex(3, True, 0, 3).words(1) == ((2,),)
     assert list(koszul.y_chains(3, 2, 3)) == [
         ((0, 1), 3), ((0, 2), 5), ((1, 1), 4), ((1, 2), 6), ((2, 2), 8)]
 
 
+def test_koszul_chains_with_u_not_inverted_and_at_inf():
+    # beta = p - weight >= 0: at p = 5 the chains y_1 y_2 (6) and y_2^2 (8)
+    # are gone, and d(y_0) = y_0 y_2 since beta = 4
+    for n in (3, None):
+        cx = koszul.KoszulComplex(n, False, 5, 0)
+        assert cx.words(1) == ((0,), (1,), (2,))
+        assert cx.words(2) == ((0, 0), (0, 1), (0, 2), (1, 1))
+        assert cx.matrix(1).apply(1 << 0) == 1 << cx.index(2)[(0, 2)]
+    # at inf the indices run below bit_length(p), and none above p < 0
+    assert koszul.KoszulComplex(None, False, 8, 0).words(1) == ((0,), (1,), (2,), (3,))
+    assert koszul.KoszulComplex(None, False, -1, 0).words(0) == ()
+    assert koszul.KoszulComplex(None, False, 0, 0).words(0) == ((),)
+    # shared under the cobar key; u inverted at inf is refused, as in cobar
+    cx = koszul.get_koszul(RO2Degree(3, 1), None, False)
+    assert (cx.n, cx.invert_u, cx.p_key, cx.e_floor) == cobar.slice_key(
+        RO2Degree(3, 1), None, False)
+    with pytest.raises(cobar.UnboundedBasisError):
+        koszul.get_koszul(RO2Degree(1, 1), None, True)
+
+
 def test_koszul_restriction_sends_high_indices_to_zero():
-    hi = koszul.KoszulComplex(3, 1, 0)
-    lo = koszul.KoszulComplex(2, 1, 0)
+    hi = koszul.KoszulComplex(3, True, 1, 0)
+    lo = koszul.KoszulComplex(2, True, 1, 0)
     index = lo.index(2)
     assert cobar._truncation_map(hi, lo, 2) == [index.get(c) if max(c) < 2 else None
                                                 for c in hi.words(2)]
     with pytest.raises(AssertionError, match="missing downstairs"):
-        cobar._truncation_map(hi, koszul.KoszulComplex(2, 1, 2), 1)
+        cobar._truncation_map(hi, koszul.KoszulComplex(2, True, 1, 2), 1)
+    # at inf every index is legal, so a chain missing downstairs is an error
+    with pytest.raises(AssertionError, match="missing downstairs"):
+        cobar._truncation_map(koszul.KoszulComplex(None, False, 3, 0),
+                              koszul.KoszulComplex(None, False, 3, 2), 1)
 
 
 def test_koszul_guard_raises_complex_too_large(slice_cap):
     slice_cap(20)
-    cx = koszul.KoszulComplex(3, 0, 0)
+    cx = koszul.KoszulComplex(3, True, 0, 0)
     assert len(cx.words(4)) == 15
     with pytest.raises(cobar.ComplexTooLargeError):
         cx.words(5)  # C(7, 5) = 21 chains
@@ -63,16 +87,20 @@ def test_labels_cross_check_the_certified_dim():
 
 
 def test_koszul_dims_match_cobar_ext():
-    for n in (1, 2, 3):
+    # u not inverted at inf, the path of `verify einfty --n inf` (the finite
+    # levels are ACCEPT-01's); then u inverted at n = 1..3, level 3 last so
+    # that the tower test below finds its cobar slices cached
+    for n, invert_u in ((None, False), (1, True), (2, True), (3, True)):
         for s in range(5):
             for p in range(-8, 9):
                 for q in range(-8, 9):
                     d = RO2Degree(p, q)
                     try:
-                        want = cobar.ext_dim(s, d, n, True).dim
+                        want = cobar.ext_dim(s, d, n, invert_u).dim
                     except cobar.ComplexTooLargeError:
                         continue
-                    assert koszul.get_koszul(d, n).cohomology(s).dim == want, (n, s, p, q)
+                    got = koszul.get_koszul(d, n, invert_u).cohomology(s).dim
+                    assert got == want, (n, invert_u, s, p, q)
 
 
 def _cobar_tower(s, d, levels):

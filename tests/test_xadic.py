@@ -145,8 +145,12 @@ def test_predicted_a_rank_matches_cobar():
             for p in range(-3, 4):
                 for q in range(-3, 4):
                     d = RO2Degree(p, q)
-                    assert xadic.predicted_a_rank(n, s, d) == \
-                        cobar.a_multiplication_rank(s, d, n), (n, s, p, q)
+                    rank = cobar.a_multiplication_rank(s, d, n)
+                    assert xadic.predicted_a_rank(n, s, d) == rank, (n, s, p, q)
+                    # the rank is read on Koszul complexes; cobar's must agree
+                    lower = cobar.get_complex(RO2Degree(p, q - 1), n, False)
+                    assert cobar._image_in_lower(cobar.get_complex(d, n, False),
+                                                 lower, s)[0] == rank, (n, s, p, q)
 
 
 def test_completed_basis_negative_powers():
