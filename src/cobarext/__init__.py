@@ -1,8 +1,8 @@
 """Exact Ext computations over truncated polynomial coalgebras, their limit
 over truncation levels, closed-form cross-checks, and Adams-style charts."""
 
-from .grading import RO2Degree, CobarMonomial, Tridegree, binom_mod2
+from .grading import RO2Degree, CobarMonomial, binom_mod2
 
 __version__ = "0.1.0"
 
-__all__ = ["RO2Degree", "CobarMonomial", "Tridegree", "binom_mod2", "__version__"]
+__all__ = ["RO2Degree", "CobarMonomial", "binom_mod2", "__version__"]

@@ -10,7 +10,7 @@ import functools
 import json
 from dataclasses import dataclass
 
-from . import cobar, xadic
+from . import cobar, koszul, xadic
 from .grading import RO2Degree
 from .xadic import EinftyMonomial
 
@@ -80,36 +80,25 @@ def integer_stem_chart(stem_max: int, s_max: int, stem_min: int = 0,
     return sorted((dot for col in columns for dot in col), key=ChartDot.sort_key)
 
 
-def slice_chart(q_slice: int, stems: tuple[int, int], s_max: int,
-                n: int) -> list[ChartDot]:
+def slice_chart(q_slice: int, stems: tuple[int, int], s_max: int) -> list[ChartDot]:
     """Dots of the completed limit page in one sigma-slice.
 
-    Dimensions come from a certified tower of truncation levels (u inverted,
-    Koszul complexes); labels come from the completed closed-form names, and the two are
-    required to agree.  A class named y_r is only visible from level r+1
-    onward, and a tower sitting entirely below that level would certify a
-    false zero, so each cell's window starts at the birth level of its
-    closed-form names.  n caps the top level a window may use.
+    Dimensions come from a certified three-level tower of truncation levels
+    (u inverted, Koszul complexes) placed at koszul.stable_level, from which
+    the tower is constant; labels come from the completed closed-form names,
+    and the two are required to agree.  A cell whose tower does not
+    stabilize raises NotStabilizedError, and a disagreement raises
+    ChartMismatchError.
     """
-    if n < 3:
-        raise ValueError("need n >= 3 to fit a three-level tower window")
     dots = []
     for stem in range(stems[0], stems[1] + 1):
         for s in range(s_max + 1):
             d = RO2Degree(stem + s, q_slice)
-            names = xadic.completed_basis(s, d)
-            birth = max((len(m.powers) for m in names), default=1)
-            start = max(1, birth)
-            if start + 2 > n:
-                raise ValueError(
-                    f"(stem {stem}, s {s}, sigma {q_slice}) holds a class born "
-                    f"at level {birth}; certifying it needs n >= {start + 2}"
-                )
+            start = koszul.stable_level(s, d)
             report = cobar.limit_ext_report(s, d, range(start, start + 3))
-            if not report.stabilized and start + 3 <= n:
-                report = cobar.limit_ext_report(s, d, range(start + 1, start + 4))
             if not report.stabilized:
                 raise cobar.NotStabilizedError(report)
+            names = xadic.completed_basis(s, d)
             if len(names) != report.limit_dim:
                 raise ChartMismatchError(
                     f"(stem {stem}, s {s}, sigma {q_slice}): computed dim "

@@ -211,7 +211,7 @@ def cmd_chart(args) -> int:
             stem_hi, args.smax, stem_lo,
             map_fn=functools.partial(pool_map, jobs=args.jobs))
     else:
-        dots = charts.slice_chart(args.sigma, (stem_lo, stem_hi), args.smax, args.n)
+        dots = charts.slice_chart(args.sigma, (stem_lo, stem_hi), args.smax)
     arrows: tuple[charts.ChartArrow, ...] = ()
     if args.conjectural_d2:
         overlay = charts.conjectural_d2_overlay(dots)
@@ -357,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=int, default=None,
                    help="draw this sigma-slice of the completed page "
                         "(default: integer stems, sigma 0)")
-    p.add_argument("--n", type=int, default=6,
-                   help="top truncation level a sigma-slice tower may use")
     p.add_argument("--conjectural-d2", action="store_true",
                    help="overlay the conjectural degree-2 differential")
     p.add_argument("--format", default="tsv", choices=("tsv", "json", "svg"))

@@ -414,9 +414,8 @@ def limit_ext_report(s: int, d: RO2Degree, levels) -> LimitReport:
     the limit (README).
 
     Either rule only attests to the inspected window: a class born
-    above the top level is invisible, so callers must place the window at
-    or above the birth level of the classes they expect (slice charts seed
-    this from the closed-form names).
+    above the top level is invisible.  From koszul.stable_level(s, d) on the
+    tower is constant, and slice charts place their windows there.
     """
     from .koszul import get_koszul  # koszul.py builds on this module
 
@@ -424,14 +423,6 @@ def limit_ext_report(s: int, d: RO2Degree, levels) -> LimitReport:
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("need at least two ascending levels")
     return tower_report(s, d, [get_koszul(d, n) for n in levels])
-
-
-def limit_ext_dim(s: int, d: RO2Degree, n_start: int = 1, depth: int = 3) -> LimitReport:
-    """limit_ext_report over levels n_start..n_start+depth; raises if uncertified."""
-    report = limit_ext_report(s, d, range(n_start, n_start + depth + 1))
-    if not report.stabilized:
-        raise NotStabilizedError(report)
-    return report
 
 
 def a_multiplication_rank(s: int, d: RO2Degree, n: TruncationLevel,
@@ -528,9 +519,8 @@ def verify_localization(n_values=(1, 2), window: int = 6,
                     inv = get_koszul(d, n, True).cohomology(s).dim
                     shift = RO2Degree(period, -period)
                     inv_shifted = get_koszul(d + shift, n, True).cohomology(s).dim
-                    t_suff = 1
-                    while p + t_suff * period < (s + 1) * cap:
-                        t_suff += 1
+                    # least t >= 1 with p + t * period >= (s + 1) * cap
+                    t_suff = max(1, -((p - (s + 1) * cap) // period))
                     t_pair = (t_suff + 1, t_suff + 2)
                     dims = tuple(
                         get_koszul(d + shift.scaled(t), n, False).cohomology(s).dim

@@ -40,16 +40,6 @@ def echelon_insert(pivots: dict[int, int], v: int) -> int:
     return 0
 
 
-def reduce_vector(pivots: dict[int, int], v: int) -> int:
-    """Reduce v against an echelon set without inserting."""
-    while v:
-        row = pivots.get(lowest_bit(v))
-        if row is None:
-            break
-        v ^= row
-    return v
-
-
 @dataclass(frozen=True)
 class F2Matrix:
     rows: int

@@ -34,20 +34,6 @@ class RO2Degree:
         return f"({self.p}, {self.q})"
 
 
-@dataclass(frozen=True)
-class Tridegree:
-    s: int
-    internal: RO2Degree
-
-    @property
-    def stem(self) -> int:
-        return self.internal.p - self.s
-
-    @property
-    def sigma(self) -> int:
-        return self.internal.q
-
-
 def binom_mod2(k: int, i: int) -> int:
     """Binomial coefficient C(k, i) mod 2, for any integer k and i >= 0.
 

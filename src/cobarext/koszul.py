@@ -16,7 +16,8 @@ every bit of beta is used.  Complexes are shared under the cobar key
 hooks of cobar.SlicesBase: `_chains`, `_targets` (the terms of d above) and
 `_legal` (every index below n).  The base assembles the matrices, and
 cobar._truncation_map restricts to a lower level, sending y_r to 0 for
-r >= lo.n.
+r >= lo.n.  stable_level gives the level from which the u-inverted tower of
+a degree is constant; slice charts and xadic.completed_basis read it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 from itertools import combinations_with_replacement
 
-from .cobar import SlicesBase, slice_key
+from .cobar import SlicesBase, ceil_half, slice_key
 from .f2linalg import bits
 from .grading import RO2Degree
 from .hopf import TruncationLevel
@@ -41,6 +42,27 @@ def y_chains(r_top: int, s: int, w_min: int):
         w = sum(ws)
         if w >= w_min:
             yield chain, w
+
+
+def stable_level(s: int, d: RO2Degree) -> int:
+    """The level N(s, d) from which the tower of completed Ext in (s, d) is
+    constant: max(1, bit_length(e - 1), v2(p) + 1 if s <= 1 and p != 0),
+    for e = max(0, ceil((p+q)/2)).
+
+    At level n, u inverted, the Koszul complex K of d with no weight cut is
+    the tensor product over r < n of {1, u^(2^r)} (x) F2[y_r], so H(K) is F2
+    at s = 0 when 2^n | p and 0 otherwise.  The slice complex is the
+    subcomplex K>= of weight >= e, and the quotient K< of weight < e uses
+    only y_r with 2^r < e: it is one complex at every n >= bit_length(e - 1).
+    The long exact sequence gives H^s(K>=) = H^(s-1)(K<) for s >= 2,
+    dim H^1(K>=) = dim H^0(K<) - [2^n | p] and H^0(K>=) = 0 for e >= 1
+    (K>= = K for e = 0); [2^n | p] is [p = 0] from n = v2(p) + 1 on.
+    """
+    e = max(0, ceil_half(d.p + d.q))
+    level = max(1, (e - 1).bit_length())
+    if s <= 1 and d.p:
+        level = max(level, (d.p & -d.p).bit_length())  # v2(p) + 1
+    return level
 
 
 class KoszulComplex(SlicesBase):

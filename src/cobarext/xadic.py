@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from . import cobar
 from .grading import CobarMonomial, RO2Degree, binom_mod2, power_label
 from .hopf import TruncationLevel, check_level, level_str
-from .koszul import get_koszul, y_chains
+from .koszul import get_koszul, stable_level, y_chains
 
 
 class StageOutOfRangeError(Exception):
@@ -136,11 +136,12 @@ def einfty_basis(n: TruncationLevel, s: int, d: RO2Degree) -> list[EinftyMonomia
 def completed_basis(s: int, d: RO2Degree) -> list[EinftyMonomial]:
     """Admissible completed monomials (u-exponent any integer) in (s, d).
 
-    Finite because the a-exponent m = 2*weight - (p+q) must land in
-    [0, 2^(min index + 1) - 1], which bounds the usable y-indices.
+    Every index lies below koszul.stable_level(s, d).  A lone y_r (s = 1)
+    needs 2^(r+1) | p - 2^r, so r = v2(p).  For s >= 2 the a-exponent
+    m = 2*weight - (p+q) <= 2^(j+1) - 1, j the least index, forces
+    2^(r+1) <= p + q - 1, so 2^r < e = ceil((p+q)/2), for every index r.
     """
-    r_top = max(4, (abs(d.p) + abs(d.q) + 2).bit_length() + 1) + 1
-    return _y_monomials(r_top, s, d, lambda mono: mono.admissible(None))
+    return _y_monomials(stable_level(s, d), s, d, lambda mono: mono.admissible(None))
 
 
 def xadic_stage(n: TruncationLevel, t: int, s: int, d: RO2Degree) -> list[EinftyMonomial]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cobarext import charts, cobar
+from cobarext import charts, cobar, koszul
 from cobarext.charts import ChartDot
 from cobarext.grading import RO2Degree
 
@@ -62,7 +62,7 @@ def test_overlay_pinned_arrow():
 
 
 def test_overlay_generator_instance():
-    dots = charts.slice_chart(2, (0, 1), 3, 4)
+    dots = charts.slice_chart(2, (0, 1), 3)
     overlay = charts.conjectural_d2_overlay(dots)
     assert {(a.source.label, a.target.label) for a in overlay.arrows} == {
         ("y_1", "a y_0^3")}
@@ -81,19 +81,22 @@ def test_overlay_skips_y_free_dots_and_drops_inadmissible():
 
 
 def test_slice_chart_consistency_windows():
-    dots = charts.slice_chart(0, (0, 2), 2, 4)
+    dots = charts.slice_chart(0, (0, 2), 2)
     assert cells(dots) == {
         (0, 0): ["1"], (0, 1): ["a y_0"], (1, 1): ["a^2 y_1"],
         (2, 2): ["u^2 y_0^2"]}
     # a negative-budget slice holds only the a-power dot at stem 0, s=0
-    dots = charts.slice_chart(-4, (-2, 1), 2, 4)
+    dots = charts.slice_chart(-4, (-2, 1), 2)
     assert [(d.stem, d.filtration, d.label) for d in dots] == [(0, 0, "a^4")]
-    assert charts.slice_chart(0, (2, 1), 2, 4) == []
+    assert charts.slice_chart(0, (2, 1), 2) == []
 
 
-def test_slice_chart_needs_room_for_births():
-    with pytest.raises(ValueError):
-        charts.slice_chart(0, (3, 3), 1, 3)
+def test_slice_chart_refuses_a_window_below_the_stable_level(monkeypatch):
+    # the class in (s=1, d=(2,0)) is born at level 2, so a tower at levels
+    # (1, 2, 3) does not stabilize, and the chart refuses instead of guessing
+    monkeypatch.setattr(koszul, "stable_level", lambda s, d: 1)
+    with pytest.raises(cobar.NotStabilizedError):
+        charts.slice_chart(0, (1, 1), 1)
 
 
 def test_render_tsv():

@@ -169,14 +169,22 @@ def test_chart_tsv_overlay_needs_arrows_out(tmp_path):
 
 
 def test_chart_sigma_slice():
-    r = run("chart", "--sigma", "2", "--stems", "0..1", "--smax", "3",
-            "--n", "4")
+    r = run("chart", "--sigma", "2", "--stems", "0..1", "--smax", "3")
     assert r.returncode == 0
     assert "1\t1\t2\ty_1" in r.stdout
 
 
+def test_chart_sigma_slice_reaches_late_born_classes():
+    # y_4 sits at (stem 15, s 1, sigma 16) and is born at level 5; its tower
+    # starts at the stable level, with no cap to raise
+    r = run("chart", "--sigma", "16", "--stems", "15..15", "--smax", "1")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[1:] == ["15\t1\t16\ty_4"]
+
+
 def test_chart_sigma_zero_at_defaults():
-    # stems 0..7, s <= 8, levels up to 6: the cobar towers ran past 150 s
+    # stems 0..7, s <= 8, each tower at its stable level: the cobar towers
+    # ran past 150 s
     r = run("chart", "--sigma", "0", timeout=60)
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
@@ -285,7 +293,7 @@ PINNED_STDOUT = [
      "ede5db3a9df723731fc3f211572d322b9ed2ebfc1ca19ea52a830fd2967fac1d"),
     (('chart', '--stems', '0..7', '--smax', '8', '--conjectural-d2', '--format', 'svg', '--jobs', '1'),
      "346b5e225fb9fbf5bc892fe623c6e9d4f7b2112e876bd629cee7c0b662ee0606"),
-    (('chart', '--sigma', '2', '--stems', '0..1', '--smax', '3', '--n', '4'),
+    (('chart', '--sigma', '2', '--stems', '0..1', '--smax', '3'),
      "bca461420332a4282e89adbd503fc8581c293b626a94ca7c2c14f5d1fbea9911"),
     (('limit-ext', '--s', '1', '--p', '1', '--q', '1'),
      "7c4b7ba327b850835c8b6e2c76b53dd0d73443416015d56c794eb94cbf04c8f2"),

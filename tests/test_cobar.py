@@ -82,13 +82,15 @@ def test_ext_matches_closed_form_sample():
 
 
 def test_limit_examples():
+    levels = (1, 2, 3, 4)
     for q in (-1, -2, -5):
-        rep = cobar.limit_ext_dim(0, RO2Degree(0, q))
-        assert rep.limit_dim == 1
+        rep = cobar.limit_ext_report(0, RO2Degree(0, q), levels)
+        assert rep.stabilized and rep.limit_dim == 1
         assert rep.basis_labels == (CobarMonomial(-q, 0, ()).label(),)
-    assert cobar.limit_ext_dim(1, RO2Degree(1, -3)).limit_dim == 0
-    rep = cobar.limit_ext_dim(1, RO2Degree(1, 1))
-    assert rep.limit_dim == 1 and rep.basis_labels == ("[x]",)
+    rep = cobar.limit_ext_report(1, RO2Degree(1, -3), levels)
+    assert rep.stabilized and rep.limit_dim == 0
+    rep = cobar.limit_ext_report(1, RO2Degree(1, 1), levels)
+    assert rep.stabilized and rep.limit_dim == 1 and rep.basis_labels == ("[x]",)
 
 
 def test_limit_tower_certificate_rules():
@@ -106,9 +108,7 @@ def test_limit_detects_late_birth():
     # the class in (s=1, d=(2,0)) only exists from level 2 on, and the
     # (1,2,3) window must refuse to certify rather than guess
     rep = cobar.limit_ext_report(1, RO2Degree(2, 0), (1, 2, 3))
-    assert not rep.stabilized
-    with pytest.raises(cobar.NotStabilizedError):
-        cobar.limit_ext_dim(1, RO2Degree(2, 0), n_start=1, depth=2)
+    assert not rep.stabilized and rep.limit_dim is None
     rep = cobar.limit_ext_report(1, RO2Degree(2, 0), (2, 3, 4))
     assert rep.stabilized and rep.limit_dim == 1
 

@@ -8,7 +8,6 @@ from cobarext.f2linalg import (
     bits,
     cohomology_dim,
     echelon_insert,
-    reduce_vector,
 )
 
 
@@ -167,7 +166,7 @@ def test_representatives_reduce_to_zero_against_image_and_kernel():
             echelon_insert(pivots, col)
         for v in res.representatives:
             assert d_out.apply(v) == 0
-            assert reduce_vector(pivots, v) == v  # already fully reduced
+            assert echelon_insert(dict(pivots), v) == v  # already fully reduced
             assert v != 0
 
 

@@ -5,7 +5,6 @@ import pytest
 from cobarext.grading import (
     CobarMonomial,
     RO2Degree,
-    Tridegree,
     binom_int,
     binom_mod2,
     element_label,
@@ -49,11 +48,6 @@ def test_binom_int_is_the_binomial_coefficient():
     for n in range(1, 10):
         for i in range(0, 10):
             assert binom_int(-n, i) == (-1) ** i * math.comb(n + i - 1, i)
-
-
-def test_stem_and_sigma():
-    t = Tridegree(1, RO2Degree(2, 0))
-    assert t.stem == 1 and t.sigma == 0
 
 
 def test_monomial_type_invariants():

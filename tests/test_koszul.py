@@ -1,11 +1,13 @@
 """The Koszul model against the cobar reference: slice dims, full tower
-reports, and the Koszul slice guard."""
+reports, and the Koszul slice guard; towers from the stable level against
+the level-free weight quotient."""
 
 import dataclasses
 
 import pytest
 
-from cobarext import cobar, koszul
+from cobarext import cobar, koszul, xadic
+from cobarext.f2linalg import bits
 from cobarext.grading import RO2Degree
 
 
@@ -126,3 +128,54 @@ def test_koszul_towers_match_cobar_towers():
         nonzero += bool(got["limit_dim"])
     # the window holds certified nonzero limits and uncertified cells
     assert nonzero and stabilized < len(TOWER_CELLS)
+
+
+class WeightQuotient(cobar.SlicesBase):
+    """K<, the Koszul chains y^I of weight w < e with
+    d(y^I) = sum of y^(I + e_r) over the set bits r of p - w with
+    w + 2^r < e.  Only y_r with 2^r < e occur, so it is one complex at
+    every level."""
+
+    def __init__(self, p: int, e: int):
+        super().__init__(None, False, p, e)
+        self._r_top = max(e - 1, 0).bit_length()
+
+    def _chains(self, s):
+        return (chain for chain, w in koszul.y_chains(self._r_top, s, 0)
+                if w < self.e_floor)
+
+    def _targets(self, chain):
+        w = sum(1 << r for r in chain)
+        for r in bits((self.p_key - w) & ((1 << self._r_top) - 1)):
+            if w + (1 << r) < self.e_floor:
+                yield tuple(sorted(chain + (r,)))
+
+
+def _quotient_limit(s, d):
+    """Completed Ext dim read off K< by the long exact sequence."""
+    e = max(0, cobar.ceil_half(d.p + d.q))
+    if e == 0:
+        return int(s == 0 and d.p == 0)
+    if s == 0:
+        return 0
+    return WeightQuotient(d.p, e).cohomology(s - 1).dim - (s == 1 and d.p == 0)
+
+
+STABLE_CELLS = [(s, RO2Degree(p, q))
+                for s in range(7) for p in range(-12, 13) for q in range(-12, 13)]
+
+
+def test_towers_from_the_stable_level_match_the_weight_quotient():
+    for s, d in STABLE_CELLS:
+        n = koszul.stable_level(s, d)
+        report = cobar.limit_ext_report(s, d, range(n, n + 3))
+        assert report.stabilized, (s, d)
+        assert report.limit_dim == _quotient_limit(s, d), (s, d)
+
+
+def test_completed_names_use_indices_below_the_stable_level():
+    for s, d in STABLE_CELLS:
+        n = koszul.stable_level(s, d)
+        wide = xadic._y_monomials(n + 2, s, d, lambda m: m.admissible(None))
+        assert all(len(m.powers) <= n for m in wide), (s, d)
+        assert xadic.completed_basis(s, d) == wide
