@@ -16,7 +16,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import charts, cobar, hopf, xadic
+from . import charts, cobar, hopf, koszul, xadic
 from .grading import RO2Degree, parse_monomial, word_label
 
 
@@ -139,9 +139,10 @@ def cmd_ext_table(args) -> int:
 
 
 def cmd_limit_ext(args) -> int:
+    d = RO2Degree(args.p, args.q)
+    start = koszul.stable_level(args.s, d) if args.start is None else args.start
     return run_report(cobar.limit_ext_report(
-        args.s, RO2Degree(args.p, args.q), range(args.start, args.start + args.depth + 1),
-    ), args.out)
+        args.s, d, range(start, start + args.depth + 1)), args.out)
 
 
 def cmd_verify_axioms(args) -> int:
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit-ext", help="completed Ext via the level tower")
     _add_spq(p)
-    p.add_argument("--start", type=int, default=1, help="lowest level of the tower")
+    p.add_argument("--start", type=int, help="lowest level (default: the stable level)")
     p.add_argument("--depth", type=int, default=3,
                    help="tower spans start..start+depth")
     _add_out(p)

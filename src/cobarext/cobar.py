@@ -34,6 +34,7 @@ from .f2linalg import (
     CohomologyResult,
     F2Matrix,
     bits,
+    column_echelon,
     echelon_insert,
     cohomology_dim,
 )
@@ -364,10 +365,7 @@ def _image_in_lower(hi: SlicesBase, lo: SlicesBase,
         return got
     index_map = _truncation_map(hi, lo, s)
     d_out = lo.matrix(s)
-    pivots: dict[int, int] = {}
-    if s > 0:
-        for col in lo.matrix(s - 1).transpose().row_bits:
-            echelon_insert(pivots, col)
+    pivots = column_echelon(lo.matrix(s - 1))[0] if s > 0 else {}
     residues = []
     for v in hi.cohomology(s).representatives:
         w = _map_vector(index_map, v)
@@ -415,7 +413,7 @@ def limit_ext_report(s: int, d: RO2Degree, levels) -> LimitReport:
 
     Either rule only attests to the inspected window: a class born
     above the top level is invisible.  From koszul.stable_level(s, d) on the
-    tower is constant, and slice charts place their windows there.
+    tower is constant; slice charts and limit-ext's default start there.
     """
     from .koszul import get_koszul  # koszul.py builds on this module
 
@@ -503,10 +501,11 @@ def verify_localization(n_values=(1, 2), window: int = 6,
     clears every denominator a slice could carry (weight of slices s-1..s+1
     is at most (s+1)(2^n - 1)), which is where multiplication by u^(2^n)
     has become an isomorphism.  Inverted dims are also checked to be
-    u^(2^n)-periodic.  Every dim is read from the Koszul complex (the
-    tests recompute them on cobar).
+    u^(2^n)-periodic, the shifted one on the complex keyed by the unreduced
+    p + 2^n (get_koszul would return the same object as at d).  Every dim
+    is read from the Koszul complex (the tests recompute them on cobar).
     """
-    from .koszul import get_koszul  # koszul.py builds on this module
+    from .koszul import _shared_koszul, get_koszul  # koszul.py builds on this module
 
     entries = []
     for n in n_values:
@@ -518,7 +517,8 @@ def verify_localization(n_values=(1, 2), window: int = 6,
                     d = RO2Degree(p, q)
                     inv = get_koszul(d, n, True).cohomology(s).dim
                     shift = RO2Degree(period, -period)
-                    inv_shifted = get_koszul(d + shift, n, True).cohomology(s).dim
+                    e_floor = slice_key(d, n, True)[3]
+                    inv_shifted = _shared_koszul(n, True, p + period, e_floor).cohomology(s).dim
                     # least t >= 1 with p + t * period >= (s + 1) * cap
                     t_suff = max(1, -((p - (s + 1) * cap) // period))
                     t_pair = (t_suff + 1, t_suff + 2)

@@ -103,42 +103,31 @@ class F2Matrix:
                 n += 1
         return n
 
-    def rref(self) -> tuple[list[int], list[int]]:
-        """Reduced row-echelon rows and their pivot columns, ascending.
-
-        Back-substitution runs from the highest pivot down, so every row it
-        xors in is already reduced: that clears one pivot bit and sets no
-        other.  After forward elimination the cost is one row xor per set
-        pivot-column bit of the echelon rows.
-        """
-        pivots: dict[int, int] = {}
-        for r in self.row_bits:
-            echelon_insert(pivots, r)
-        cols = sorted(pivots)
-        done = 0  # pivot columns above the current one, all reduced
-        for c in reversed(cols):
-            row = pivots[c]
-            for c2 in bits(row & done):
-                row ^= pivots[c2]
-            pivots[c] = row
-            done |= 1 << c
-        return [pivots[c] for c in cols], cols
-
     def kernel_basis(self) -> list[int]:
-        """Basis of the null space, one vector per free column, ascending.
+        """The canonical null-space basis, from column_echelon: for each free
+        column f, ascending, e_f plus the pivot columns that express column f."""
+        return column_echelon(self)[1]
 
-        The vector for free column f is e_f plus e_c for every reduced row
-        (pivot c) with a 1 in column f, so it is the canonical reduced basis.
-        It is assembled by walking the free-column bits of each reduced row:
-        after rref the cost is proportional to those bits.
-        """
-        rref_rows, pivot_cols = self.rref()
-        free = ((1 << self.cols) - 1) ^ sum(1 << c for c in pivot_cols)
-        basis = {f: 1 << f for f in bits(free)}
-        for row, c in zip(rref_rows, pivot_cols):
-            for f in bits(row & free):
-                basis[f] |= 1 << c
-        return list(basis.values())
+
+def column_echelon(m: F2Matrix) -> tuple[dict[int, int], list[int]]:
+    """One elimination pass over the columns of m: the image echelon, keyed by
+    pivot row, and the kernel basis.  A mask of the columns combined rides
+    along, so a column j that reduces to zero leaves e_j plus the pivot
+    columns expressing it; pivot columns are independent, so that is unique."""
+    image: dict[int, int] = {}
+    combos: dict[int, int] = {}  # pivot row -> the columns summed into it
+    kernel = []
+    for j, v in enumerate(m.transpose().row_bits):
+        combo = 1 << j
+        while v and (r := lowest_bit(v)) in image:
+            v ^= image[r]
+            combo ^= combos[r]
+        if v:
+            image[r] = v
+            combos[r] = combo
+        else:
+            kernel.append(combo)
+    return image, kernel
 
 
 @dataclass(frozen=True)
@@ -152,8 +141,9 @@ def cohomology_dim(d_in: F2Matrix, d_out: F2Matrix) -> CohomologyResult:
 
     d_in maps into the middle slot (its rows index it), d_out maps out of it
     (its columns index it).  Raises CompositionNonzeroError when
-    d_out . d_in != 0.  Representatives are kernel vectors reduced against
-    the image echelon, in kernel-basis order, so they are deterministic.
+    d_out . d_in != 0.  Representatives are d_out's kernel vectors reduced
+    against d_in's image echelon, one column_echelon each, in kernel-basis
+    order, so they are deterministic.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions differ")
@@ -161,17 +151,14 @@ def cohomology_dim(d_in: F2Matrix, d_out: F2Matrix) -> CohomologyResult:
         raise CompositionNonzeroError(
             f"composite is nonzero on a {d_in.cols}-dim source"
         )
-    pivots: dict[int, int] = {}
-    image_rank = 0
-    for col in d_in.transpose().row_bits:
-        if echelon_insert(pivots, col):
-            image_rank += 1
+    pivots = column_echelon(d_in)[0]
+    image_rank = len(pivots)
+    kernel = d_out.kernel_basis()
     reps = []
-    for v in d_out.kernel_basis():
+    for v in kernel:
         residue = echelon_insert(pivots, v)
         if residue:
             reps.append(residue)
-    kernel_dim = d_out.cols - d_out.rank()
-    if len(reps) != kernel_dim - image_rank:
+    if len(reps) != len(kernel) - image_rank:
         raise AssertionError("rank bookkeeping disagrees with representative count")
     return CohomologyResult(len(reps), tuple(reps))

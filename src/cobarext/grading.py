@@ -24,9 +24,6 @@ class RO2Degree:
     def __add__(self, other: RO2Degree) -> RO2Degree:
         return RO2Degree(self.p + other.p, self.q + other.q)
 
-    def __sub__(self, other: RO2Degree) -> RO2Degree:
-        return RO2Degree(self.p - other.p, self.q - other.q)
-
     def scaled(self, c: int) -> RO2Degree:
         return RO2Degree(c * self.p, c * self.q)
 

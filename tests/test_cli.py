@@ -68,6 +68,15 @@ def test_limit_ext_stabilized():
     assert doc["basis"] == ["[x]"] and doc["rule"] == "three-level"
 
 
+def test_limit_ext_window_defaults_to_the_stable_level():
+    # [x^16] is born at level 5; a window from level 1 certified a false 0
+    r = run("limit-ext", "--s", "1", "--p", "16", "--q", "16")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["levels"] == [5, 6, 7, 8] and doc["stabilized"] is True
+    assert doc["limit_dim"] == 1 and doc["basis"] == ["[x^16]"]
+
+
 def test_limit_ext_not_stabilized_exit_1():
     r = run("limit-ext", "--s", "1", "--p", "2", "--q", "0",
             "--start", "1", "--depth", "2")

@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from cobarext.f2linalg import F2Matrix, bits, cohomology_dim  # noqa: E402
+from cobarext.f2linalg import F2Matrix, bits, cohomology_dim, echelon_insert  # noqa: E402
 
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "cobarext-hypothesis"))
 PROPS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -56,7 +56,10 @@ def test_rank_plus_nullity_is_cols(m):
 @PROPS
 @given(matrices())
 def test_kernel_vectors_are_canonical_and_annihilated(m):
-    _, pivots = m.rref()
+    # pivot columns: those independent of the columns before them
+    echelon: dict[int, int] = {}
+    pivots = [j for j, col in enumerate(m.transpose().row_bits)
+              if echelon_insert(echelon, col)]
     pivot_mask = sum(1 << c for c in pivots)
     free = [f for f in range(m.cols) if f not in pivots]
     kernel = m.kernel_basis()
@@ -64,14 +67,6 @@ def test_kernel_vectors_are_canonical_and_annihilated(m):
     for f, v in zip(free, kernel):
         assert m.apply(v) == 0
         assert v & ~pivot_mask == 1 << f  # e_f plus pivot columns only
-
-
-@PROPS
-@given(matrices())
-def test_rref_is_idempotent(m):
-    rows, pivots = m.rref()
-    again = F2Matrix(len(rows), m.cols, tuple(rows)).rref()
-    assert again == (rows, pivots)
 
 
 @PROPS

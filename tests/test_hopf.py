@@ -1,5 +1,6 @@
 import pytest
 
+from cobarext import hopf
 from cobarext.grading import RO2Degree, binom_int
 from cobarext.hopf import (
     LetterOutOfRangeError,
@@ -160,8 +161,38 @@ def test_axiom_suite_catches_corrupted_coaction():
     report = check_axioms(2, 3, coeff_window=4, cone_window=4,
                           coaction_fn=corrupted)
     assert not report.ok
-    failed = {c.name for c in report.checks if not c.ok}
-    assert "comodule coassociativity" in failed
+    assert report.lines() == [
+        "level 2: comultiplication coassociativity: 4 cases: pass",
+        "level 2: comultiplication counit: 4 cases: pass",
+        "level 2: comodule coassociativity: 8 cases: FAIL (a^0 u^3)",
+        "level 2: comodule counit: 45 cases: pass",
+        "level 2: coaction multiplicativity: 6 cases: FAIL (a^0 u^-4 times a^0 u^1)",
+        "level 2: right unit multiplicativity: 625 cases: pass",
+        "level 2: right unit cone compatibility: 375 cases: pass",
+    ]
+
+
+def test_axiom_suite_catches_a_corrupted_right_unit(monkeypatch):
+    """The right-unit laws read the module's coaction, untruncated; the
+    coaction laws read coaction_fn, which keeps the sound default."""
+    sound = hopf.coaction
+
+    def corrupted(alpha, beta, n):
+        if beta == 1:
+            return frozenset({(alpha, beta, 0)})
+        return sound(alpha, beta, n)
+
+    monkeypatch.setattr(hopf, "coaction", corrupted)
+    report = check_axioms(2, 3, coeff_window=4, cone_window=4)
+    assert report.lines() == [
+        "level 2: comultiplication coassociativity: 4 cases: pass",
+        "level 2: comultiplication counit: 4 cases: pass",
+        "level 2: comodule coassociativity: 45 cases: pass",
+        "level 2: comodule counit: 45 cases: pass",
+        "level 2: coaction multiplicativity: 2025 cases: pass",
+        "level 2: right unit multiplicativity: 27 cases: FAIL (a^0 u^1 times a^0 u^1)",
+        "level 2: right unit cone compatibility: 157 cases: FAIL (a^0 u^1 on θ/(a^2 u))",
+    ]
 
 
 def test_untruncated_requires_letter_bound():
