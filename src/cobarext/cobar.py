@@ -13,21 +13,31 @@ under the differential), and with u inverted they depend on p only mod
 2^n (binomial parities below x^(2^n) see beta mod 2^n only).
 
 A slice complex (SlicesBase: SliceComplex here, KoszulComplex in koszul.py)
-memoises, per s, its chain list and index, its differential matrix, its
-cohomology, and the images of its cohomology in lower complexes of its
-model, keyed by the lower complex's cache key and s.  No memo holds a lower
-complex.  A model supplies the hooks `_chains`, `_targets` and `_legal`;
-the base assembles every matrix and `_truncation_map` restricts every model
-to a lower level.  Both models share one key, slice_key.  Cobar is the
-reference: `ext`, `ext-table` and every label come from it.  Callers that
-read only dims take them from the Koszul complexes: limit_ext_report's
-certificates, verify_localization and a_multiplication_rank here, and
-xadic.verify_einfty.
+memoises, per s, its chain table, its differential matrix (stored by
+columns, see f2linalg), its cohomology, and the images of its cohomology in
+lower complexes of its model, keyed by the lower complex's cache key and s.
+No memo holds a lower complex.  A model supplies the hooks `_chains`,
+`_targets` and `_legal`; the base assembles every matrix and
+`_truncation_map` restricts every model to a lower level.  Both models
+share one key, slice_key.  Cobar is the reference: `ext`, `ext-table` and
+every label come from it.  Callers that read only dims take them from the
+Koszul complexes: limit_ext_report's certificates, verify_localization and
+a_multiplication_rank here, and xadic.verify_einfty.
+
+A chain table (the chain list of a slice and its index) is shared by every
+complex of one model with the same `_chain_key(s)`, the inputs `_chains(s)`
+reads, through the weak registry _TABLES, so it lives exactly as long as
+some complex holds it.  A cobar slice's words depend only on s, the letter
+cap and the weight band lo..hi: at level 2 with u inverted, the four
+complexes of one E-cut (p mod 4 = 0..3) list the same words.  `_words` generates only
+the words in the band, by trying in each slot only the letters from which
+the band can still be reached.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import asdict, dataclass
 
 from .f2linalg import (
@@ -68,25 +78,26 @@ def ceil_half(v: int) -> int:
     return -((-v) // 2)
 
 
-def _words(s: int, cap: int, hi: int):
-    """All words of length s with letters in 1..cap and weight <= hi, lex order."""
+def _words(s: int, cap: int, lo: int, hi: int):
+    """All words of length s with letters in 1..cap and weight in lo..hi, lex
+    order.  A slot tries only the letters from which the slots after it can
+    still reach the band, so every word generated is kept."""
     if s == 0:
-        if hi >= 0:
+        if lo <= 0 <= hi:
             yield ()
         return
     word = [0] * s
 
-    def rec(pos: int, left: int):
-        # each remaining slot needs at least one
-        top = min(cap, left - (s - pos - 1))
-        for e in range(1, top + 1):
+    def rec(pos: int, need: int, left: int):
+        rest = s - pos - 1  # each later slot holds 1..cap
+        for e in range(max(1, need - rest * cap), min(cap, left - rest) + 1):
             word[pos] = e
-            if pos == s - 1:
+            if rest == 0:
                 yield tuple(word)
             else:
-                yield from rec(pos + 1, left - e)
+                yield from rec(pos + 1, need - e, left - e)
 
-    yield from rec(0, hi)
+    yield from rec(0, lo, hi)
 
 
 def _check_key(n: TruncationLevel, invert_u: bool) -> None:
@@ -97,13 +108,29 @@ def _check_key(n: TruncationLevel, invert_u: bool) -> None:
         )
 
 
+class ChainTable:
+    """The chain list of one slice in canonical order and its index, shared
+    through _TABLES by every complex of a model with the same chain key."""
+
+    __slots__ = ("words", "index", "__weakref__")
+
+    def __init__(self, words: tuple[tuple[int, ...], ...]):
+        self.words = words
+        self.index = {w: i for i, w in enumerate(words)}
+
+
+# (model, chain key) -> table; a table stays while some complex's memo holds it
+_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class SlicesBase:
     """The memos and the assembly of one slice complex, built from its
     slice_key.  A model supplies `_chains(s)` (the basis of slice s in
     canonical order), `_targets(chain)` (the chains of slice s+1 in
     d(chain), repeats cancelling) and `_legal(chain)` (every letter exists
     at this complex's level, which `_truncation_map` asks of the lower
-    complex)."""
+    complex).  It may narrow `_chain_key(s)` to the inputs `_chains(s)`
+    reads, so that more complexes share each table."""
 
     def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
         _check_key(n, invert_u)
@@ -111,30 +138,35 @@ class SlicesBase:
         self.invert_u = invert_u
         self.p_key = p_key
         self.e_floor = e_floor
-        self._words: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._index: dict[int, dict[tuple[int, ...], int]] = {}
+        self._words: dict[int, ChainTable] = {}
         self._matrices: dict[int, F2Matrix] = {}
         self._cohom: dict[int, CohomologyResult] = {}
         self._images: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+
+    def _chain_key(self, s: int) -> tuple:
+        return self.n, self.invert_u, self.p_key, self.e_floor, s
 
     def words(self, s: int) -> tuple[tuple[int, ...], ...]:
         if s < 0:
             raise ValueError(f"no slice at negative filtration s={s}")
         got = self._words.get(s)
-        if got is not None:
-            return got
-        out = []
-        for w in self._chains(s):
-            out.append(w)
-            if len(out) > MAX_SLICE_DIM:
-                raise ComplexTooLargeError(f"slice s={s} exceeds {MAX_SLICE_DIM} monomials")
-        self._words[s] = out = tuple(out)
-        self._index[s] = {w: i for i, w in enumerate(out)}
-        return out
+        if got is None:
+            key = (type(self), self._chain_key(s))
+            got = _TABLES.get(key)
+            if got is None:
+                out = []
+                for w in self._chains(s):
+                    out.append(w)
+                    if len(out) > MAX_SLICE_DIM:
+                        raise ComplexTooLargeError(
+                            f"slice s={s} exceeds {MAX_SLICE_DIM} monomials")
+                got = _TABLES[key] = ChainTable(tuple(out))
+            self._words[s] = got
+        return got.words
 
     def index(self, s: int) -> dict[tuple[int, ...], int]:
         self.words(s)
-        return self._index[s]
+        return self._words[s].index
 
     def matrix(self, s: int) -> F2Matrix:
         """Differential from slice s to slice s+1 in the shared chain bases."""
@@ -143,16 +175,16 @@ class SlicesBase:
             return got
         src = self.words(s)
         tgt_index = self.index(s + 1)
-        rows = [0] * len(tgt_index)
-        for j, chain in enumerate(src):
-            bit = 1 << j
+        cols = []
+        for chain in src:
+            col = 0
             for target in self._targets(chain):
                 try:
-                    t = tgt_index[target]
+                    col ^= 1 << tgt_index[target]
                 except KeyError:
                     raise AssertionError(f"boundary target {target} of {chain} missing") from None
-                rows[t] ^= bit
-        got = self._matrices[s] = F2Matrix(len(rows), len(src), tuple(rows))
+            cols.append(col)
+        got = self._matrices[s] = F2Matrix(len(tgt_index), len(src), tuple(cols))
         return got
 
     def cohomology(self, s: int) -> CohomologyResult:
@@ -177,16 +209,21 @@ class SliceComplex(SlicesBase):
     p mod 2^n when u is inverted (only binomial parities remain).
     """
 
-    def _chains(self, s: int):
+    def _band(self, s: int) -> tuple[int, int, int]:
+        """(cap, lo, hi): slice s lists the words with letters in 1..cap and
+        weight in lo..hi."""
         cap = letter_cap(self.n)
         if self.invert_u:
             hi = s * cap
         else:
             hi = min(self.p_key, s * cap) if cap is not None else self.p_key
-        lo = max(s, self.e_floor)
-        for w in _words(s, cap if cap is not None else max(hi, 1), hi):
-            if sum(w) >= lo:
-                yield w
+        return (cap if cap is not None else max(hi, 1)), max(s, self.e_floor), hi
+
+    def _chain_key(self, s: int) -> tuple:
+        return (s,) + self._band(s)
+
+    def _chains(self, s: int):
+        return _words(s, *self._band(s))
 
     def _targets(self, word: tuple[int, ...]):
         for i in coaction_letters(self.p_key - sum(word), self.n):

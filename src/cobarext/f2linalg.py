@@ -1,8 +1,10 @@
-"""Exact linear algebra over GF(2) with packed-bit rows.
+"""Exact linear algebra over GF(2) with packed-bit columns.
 
-Matrices act on column vectors: a map V -> W is stored with one row per
-W-coordinate and one column per V-coordinate.  Rows are Python ints used
-as bitmasks, bit j = column j, so "leftmost" pivot means lowest bit.
+Matrices act on column vectors: a map V -> W is stored with one column per
+V-coordinate, the image of that basis vector.  Columns are Python ints used
+as bitmasks, bit i = row i, so a matrix is assembled, applied and eliminated
+column by column with no transpose; the lowest set bit of a column is its
+pivot row.  `row_bits` is a derived view.
 """
 
 from __future__ import annotations
@@ -40,66 +42,80 @@ def echelon_insert(pivots: dict[int, int], v: int) -> int:
     return 0
 
 
+def _transposed(vectors, length: int) -> tuple[int, ...]:
+    """The vectors of the transpose: bit i of out[j] is bit j of vectors[i]."""
+    out = [0] * length
+    for i, v in enumerate(vectors):
+        bit = 1 << i
+        for j in bits(v):
+            out[j] |= bit
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class F2Matrix:
     rows: int
     cols: int
-    row_bits: tuple[int, ...]
+    col_bits: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.row_bits) != self.rows:
+        if len(self.col_bits) != self.cols:
+            raise ValueError("column count mismatch")
+        for c in self.col_bits:
+            if c < 0 or c >> self.rows:
+                raise ValueError("column has bits outside the row range")
+
+    @classmethod
+    def from_rows(cls, rows: int, cols: int, row_bits) -> F2Matrix:
+        """The matrix whose row i is row_bits[i] (bit j = column j)."""
+        row_bits = tuple(row_bits)
+        if len(row_bits) != rows:
             raise ValueError("row count mismatch")
-        mask = (1 << self.cols) - 1
-        for r in self.row_bits:
-            if r < 0 or r & ~mask:
-                raise ValueError("row has bits outside the column range")
+        if any(r < 0 or r >> cols for r in row_bits):
+            raise ValueError("row has bits outside the column range")
+        return cls(rows, cols, _transposed(row_bits, cols))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> F2Matrix:
-        return cls(rows, cols, (0,) * rows)
+        return cls(rows, cols, (0,) * cols)
 
     @classmethod
     def identity(cls, n: int) -> F2Matrix:
         return cls(n, n, tuple(1 << j for j in range(n)))
 
+    @property
+    def row_bits(self) -> tuple[int, ...]:
+        return _transposed(self.col_bits, self.rows)
+
     def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
+        return (self.col_bits[j] >> i) & 1
 
     def is_zero(self) -> bool:
-        return not any(self.row_bits)
+        return not any(self.col_bits)
 
     def transpose(self) -> F2Matrix:
-        cols = [0] * self.cols
-        for i, r in enumerate(self.row_bits):
-            for j in bits(r):
-                cols[j] |= 1 << i
-        return F2Matrix(self.cols, self.rows, tuple(cols))
+        return F2Matrix(self.cols, self.rows, self.row_bits)
 
     def mul(self, other: F2Matrix) -> F2Matrix:
         """Matrix product self @ other (apply other first, then self)."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        out = []
-        for r in self.row_bits:
-            acc = 0
-            for j in bits(r):
-                acc ^= other.row_bits[j]
-            out.append(acc)
-        return F2Matrix(self.rows, other.cols, tuple(out))
+        return F2Matrix(self.rows, other.cols, tuple(map(self.apply, other.col_bits)))
 
     def apply(self, v: int) -> int:
-        """Apply to a column vector packed as an int (bit j = coordinate j)."""
+        """Apply to a column vector packed as an int (bit j = coordinate j):
+        the sum of the columns that v picks."""
+        cols = self.col_bits
         out = 0
-        for i, r in enumerate(self.row_bits):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
+        for j in bits(v):
+            out ^= cols[j]
         return out
 
     def rank(self) -> int:
         pivots: dict[int, int] = {}
         n = 0
-        for r in self.row_bits:
-            if echelon_insert(pivots, r):
+        for c in self.col_bits:
+            if echelon_insert(pivots, c):
                 n += 1
         return n
 
@@ -110,14 +126,15 @@ class F2Matrix:
 
 
 def column_echelon(m: F2Matrix) -> tuple[dict[int, int], list[int]]:
-    """One elimination pass over the columns of m: the image echelon, keyed by
-    pivot row, and the kernel basis.  A mask of the columns combined rides
-    along, so a column j that reduces to zero leaves e_j plus the pivot
-    columns expressing it; pivot columns are independent, so that is unique."""
+    """One elimination pass over the columns of m, as stored: the image
+    echelon, keyed by pivot row, and the kernel basis.  A mask of the columns
+    combined rides along, so a column j that reduces to zero leaves e_j plus
+    the pivot columns expressing it; pivot columns are independent, so that
+    is unique."""
     image: dict[int, int] = {}
     combos: dict[int, int] = {}  # pivot row -> the columns summed into it
     kernel = []
-    for j, v in enumerate(m.transpose().row_bits):
+    for j, v in enumerate(m.col_bits):
         combo = 1 << j
         while v and (r := lowest_bit(v)) in image:
             v ^= image[r]

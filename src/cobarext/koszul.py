@@ -14,7 +14,9 @@ since it adds y_r only when bit r of beta is set.  At the untruncated level
 every bit of beta is used.  Complexes are shared under the cobar key
 (n, invert_u, p_key, e_floor) in their own LRU.  The model supplies the three
 hooks of cobar.SlicesBase: `_chains`, `_targets` (the terms of d above) and
-`_legal` (every index below n).  The base assembles the matrices, and
+`_legal` (every index below n), and its `_chain_key` drops p with u
+inverted, so the complexes of one weight cut share their chain tables
+whatever p mod 2^n.  The base assembles the matrices, and
 cobar._truncation_map restricts to a lower level, sending y_r to 0 for
 r >= lo.n.  stable_level gives the level from which the u-inverted tower of
 a degree is constant; slice charts and xadic.completed_basis read it.
@@ -74,6 +76,9 @@ class KoszulComplex(SlicesBase):
         top = n if invert_u else max(p_key, 0).bit_length()
         self._r_top = top if n is None else min(top, n)
         self._mask = (1 << self._r_top) - 1
+
+    def _chain_key(self, s: int) -> tuple:
+        return self._r_top, s, self.e_floor, None if self.invert_u else self.p_key
 
     def _chains(self, s: int):
         chains = y_chains(self._r_top, s, self.e_floor)

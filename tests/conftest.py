@@ -16,8 +16,9 @@ def slice_cap(monkeypatch):
     """A function that sets cobar.MAX_SLICE_DIM for the rest of the test.
 
     Both complex LRUs are cleared whenever the cap is set and after the
-    test: a cached complex whose slice is already memoised never checks that
-    slice against the cap again."""
+    test: a slice already listed, by a cached complex or in a chain table it
+    shares, is never checked against the cap again, and the LRUs hold the
+    only references to the complexes that keep those tables alive."""
     from cobarext import cobar, koszul
 
     def clear():

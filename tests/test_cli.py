@@ -281,6 +281,15 @@ def test_oversized_slice_exits_2():
     assert "error: slice s=3 exceeds 200000 monomials" in r.stderr
 
 
+def test_high_cut_slice_is_refused_without_listing_the_words_below_the_cut():
+    # about 11M words of length 6 at level 4 lie below the cut E >= 85, and
+    # listing them took minutes before the refusal of the s = 7 slice
+    r = run("ext", "--n", "4", "--s", "6", "--p", "0", "--q", "170", "--invert-u",
+            timeout=30)
+    assert r.returncode == 2
+    assert r.stderr == "error: slice s=7 exceeds 200000 monomials\n"
+
+
 # SHA-256 of stdout for fast invocations of every subcommand, recorded before
 # the CLI was rewired onto the library verifiers; never regenerate them
 PINNED_STDOUT = [

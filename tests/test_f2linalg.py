@@ -19,7 +19,7 @@ def packed(row):
 def mat(rows_as_lists, cols=None):
     rows = len(rows_as_lists)
     cols = cols if cols is not None else (len(rows_as_lists[0]) if rows else 0)
-    return F2Matrix(rows, cols, tuple(packed(row) for row in rows_as_lists))
+    return F2Matrix.from_rows(rows, cols, [packed(row) for row in rows_as_lists])
 
 
 def naive_rref(rows_as_lists, cols):
@@ -71,6 +71,34 @@ def test_rref_and_kernel_match_textbook_oracle_exactly():
         m = mat(entries, cols)
         assert len(column_echelon(m)[0]) == len(naive_rref(entries, cols)[1])
         assert m.kernel_basis() == [packed(v) for v in naive_kernel(entries, cols)]
+
+
+def test_from_rows_stores_columns_and_round_trips():
+    m = mat([[1, 0, 1], [0, 1, 1]])
+    assert m.col_bits == (0b01, 0b10, 0b11)
+    assert m.row_bits == (0b101, 0b110)
+    assert [[m.entry(i, j) for j in range(3)] for i in range(2)] == [[1, 0, 1], [0, 1, 1]]
+    rng = random.Random(1414)
+    for _ in range(200):
+        rows, cols = rng.randrange(0, 12), rng.randrange(0, 12)
+        row_bits = tuple(rng.getrandbits(cols) for _ in range(rows))
+        assert F2Matrix.from_rows(rows, cols, row_bits).row_bits == row_bits
+    with pytest.raises(ValueError):
+        F2Matrix.from_rows(1, 2, [0b100])
+    with pytest.raises(ValueError):
+        F2Matrix.from_rows(2, 2, [0b1])
+    with pytest.raises(ValueError):
+        F2Matrix(1, 1, (0b10,))
+
+
+def test_transpose_twice_is_the_identity():
+    rng = random.Random(2828)
+    for _ in range(200):
+        rows, cols = rng.randrange(0, 12), rng.randrange(0, 12)
+        m = F2Matrix.from_rows(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
+        t = m.transpose()
+        assert (t.rows, t.cols, t.col_bits) == (cols, rows, m.row_bits)
+        assert t.transpose() == m
 
 
 def test_rank_examples():
@@ -161,7 +189,7 @@ def test_representatives_reduce_to_zero_against_image_and_kernel():
         d_out = mat(d_out_rows, b)  # zero d_out keeps the pair composable
         res = cohomology_dim(d_in, d_out)
         pivots = {}
-        for col in d_in.transpose().row_bits:
+        for col in d_in.col_bits:
             echelon_insert(pivots, col)
         for v in res.representatives:
             assert d_out.apply(v) == 0

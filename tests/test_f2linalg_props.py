@@ -24,11 +24,17 @@ PROPS = settings(derandomize=True, database=None, max_examples=150, deadline=Non
 
 
 @st.composite
-def matrices(draw, max_rows=12, max_cols=12):
-    rows = draw(st.integers(0, max_rows))
-    cols = draw(st.integers(0, max_cols))
-    row_bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
-    return F2Matrix(rows, cols, tuple(row_bits))
+def row_lists(draw, cols=None):
+    """(rows, cols, row bitmasks), cols drawn unless given."""
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 12)) if cols is None else cols
+    return rows, cols, draw(st.lists(st.integers(0, (1 << cols) - 1),
+                                     min_size=rows, max_size=rows))
+
+
+@st.composite
+def matrices(draw):
+    return F2Matrix.from_rows(*draw(row_lists()))
 
 
 @st.composite
@@ -44,7 +50,7 @@ def cochain_pairs(draw):
         for k in bits(mask):
             row ^= annihilator[k]
         rows.append(row)
-    return d_in, F2Matrix(len(rows), d_in.rows, tuple(rows))
+    return d_in, F2Matrix.from_rows(len(rows), d_in.rows, rows)
 
 
 @PROPS
@@ -58,7 +64,7 @@ def test_rank_plus_nullity_is_cols(m):
 def test_kernel_vectors_are_canonical_and_annihilated(m):
     # pivot columns: those independent of the columns before them
     echelon: dict[int, int] = {}
-    pivots = [j for j, col in enumerate(m.transpose().row_bits)
+    pivots = [j for j, col in enumerate(m.col_bits)
               if echelon_insert(echelon, col)]
     pivot_mask = sum(1 << c for c in pivots)
     free = [f for f in range(m.cols) if f not in pivots]
@@ -76,3 +82,25 @@ def test_cohomology_dim_is_cols_minus_ranks(pair):
     res = cohomology_dim(d_in, d_out)
     assert res.dim == d_out.cols - d_out.rank() - d_in.rank()
     assert len(res.representatives) == res.dim
+
+
+@PROPS
+@given(st.data())
+def test_mul_and_apply_match_the_row_form_product(data):
+    inner, cols, b_rows = data.draw(row_lists())
+    rows, _, a_rows = data.draw(row_lists(cols=inner))
+    v = data.draw(st.integers(0, (1 << inner) - 1))
+    a = F2Matrix.from_rows(rows, inner, a_rows)
+    b = F2Matrix.from_rows(inner, cols, b_rows)
+    # row i of a.b is the sum of the rows of b that row i of a picks
+    product = []
+    for r in a_rows:
+        acc = 0
+        for j in range(inner):
+            if r >> j & 1:
+                acc ^= b_rows[j]
+        product.append(acc)
+    assert a.mul(b) == F2Matrix.from_rows(rows, cols, product)
+    assert a.mul(b).row_bits == tuple(product)
+    # coordinate i of a.v is the parity of row i of a against v
+    assert a.apply(v) == sum(((r & v).bit_count() & 1) << i for i, r in enumerate(a_rows))
