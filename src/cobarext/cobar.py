@@ -16,22 +16,30 @@ A slice complex (SlicesBase: SliceComplex here, KoszulComplex in koszul.py)
 memoises, per s, its chain table, its differential matrix (stored by
 columns, see f2linalg), its cohomology, and the images of its cohomology in
 lower complexes of its model, keyed by the lower complex's cache key and s.
-No memo holds a lower complex.  A model supplies the hooks `_chains`,
-`_targets` and `_legal`; the base assembles every matrix and
-`_truncation_map` restricts every model to a lower level.  Both models
-share one key, slice_key.  Cobar is the reference: `ext`, `ext-table` and
-every label come from it.  Callers that read only dims take them from the
-Koszul complexes: limit_ext_report's certificates, verify_localization and
+No memo holds a lower complex.  A model declares three things: the hooks
+`_chains`, `_targets` and `_legal`; `_chain_key(s)`, the inputs `_chains(s)`
+reads; and `_coeff_key()`, what `_targets` reads beyond the chain.  The base
+assembles every matrix and `_truncation_map` restricts every model to a
+lower level.  Both models share one key, slice_key.
+Cobar is the reference: `ext`, `ext-table` and every label come from it.
+Callers that read only dims take them from the Koszul complexes:
+limit_ext_report's certificates, verify_localization and
 a_multiplication_rank here, and xadic.verify_einfty.
 
 A chain table (the chain list of a slice and its index) is shared by every
-complex of one model with the same `_chain_key(s)`, the inputs `_chains(s)`
-reads, through the weak registry _TABLES, so it lives exactly as long as
-some complex holds it.  A cobar slice's words depend only on s, the letter
-cap and the weight band lo..hi: at level 2 with u inverted, the four
-complexes of one E-cut (p mod 4 = 0..3) list the same words.  `_words` generates only
-the words in the band, by trying in each slot only the letters from which
-the band can still be reached.
+complex of one model with the same `_chain_key(s)` through the weak registry
+_TABLES, so it lives exactly as long as some complex holds it.  A cobar
+slice's words depend only on s, the letter cap and the weight band lo..hi:
+at level 2 with u inverted, the four complexes of one E-cut (p mod 4 =
+0..3) list the same words.  `_words` generates only the words in the band,
+by trying in each slot only the letters from which the band can still be
+reached.  The table of slice s also holds the differential out of it, keyed
+by the next table's key and `_coeff_key()`, and its cohomology, keyed by the
+previous table's key (0 at s = 0), the next one's and `_coeff_key()`; a
+complex's own memos hold these shared objects.  A cobar differential reads
+p only through the coaction of u^beta, which at a finite level sees beta
+mod 2^n (Lucas); with u inverted, the complexes of one p mod 2^n and any
+E-cut up to s share the differential out of slice s.
 """
 
 from __future__ import annotations
@@ -110,13 +118,20 @@ def _check_key(n: TruncationLevel, invert_u: bool) -> None:
 
 class ChainTable:
     """The chain list of one slice in canonical order and its index, shared
-    through _TABLES by every complex of a model with the same chain key."""
+    through _TABLES by every complex of a model with the same chain key, and
+    the differentials and cohomology assembled on it, which complexes with
+    equal neighbouring tables and equal `_coeff_key()` share."""
 
-    __slots__ = ("words", "index", "__weakref__")
+    __slots__ = ("key", "words", "index", "matrices", "cohomology", "__weakref__")
 
-    def __init__(self, words: tuple[tuple[int, ...], ...]):
+    def __init__(self, key: tuple, words: tuple[tuple[int, ...], ...]):
+        self.key = key
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
+        # (next slice's table key, coeff key) -> d out of this slice
+        self.matrices: dict[tuple, F2Matrix] = {}
+        # (previous slice's table key or 0, next slice's, coeff key) -> H here
+        self.cohomology: dict[tuple, CohomologyResult] = {}
 
 
 # (model, chain key) -> table; a table stays while some complex's memo holds it
@@ -130,7 +145,8 @@ class SlicesBase:
     d(chain), repeats cancelling) and `_legal(chain)` (every letter exists
     at this complex's level, which `_truncation_map` asks of the lower
     complex).  It may narrow `_chain_key(s)` to the inputs `_chains(s)`
-    reads, so that more complexes share each table."""
+    reads and `_coeff_key()` to what `_targets` reads beyond the chain, so
+    that more complexes share each table, differential and cohomology."""
 
     def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
         _check_key(n, invert_u)
@@ -146,6 +162,9 @@ class SlicesBase:
     def _chain_key(self, s: int) -> tuple:
         return self.n, self.invert_u, self.p_key, self.e_floor, s
 
+    def _coeff_key(self) -> tuple:
+        return self.n, self.invert_u, self.p_key, self.e_floor
+
     def words(self, s: int) -> tuple[tuple[int, ...], ...]:
         if s < 0:
             raise ValueError(f"no slice at negative filtration s={s}")
@@ -160,31 +179,38 @@ class SlicesBase:
                     if len(out) > MAX_SLICE_DIM:
                         raise ComplexTooLargeError(
                             f"slice s={s} exceeds {MAX_SLICE_DIM} monomials")
-                got = _TABLES[key] = ChainTable(tuple(out))
+                got = _TABLES[key] = ChainTable(key, tuple(out))
             self._words[s] = got
         return got.words
 
-    def index(self, s: int) -> dict[tuple[int, ...], int]:
+    def _table(self, s: int) -> ChainTable:
         self.words(s)
-        return self._words[s].index
+        return self._words[s]
+
+    def index(self, s: int) -> dict[tuple[int, ...], int]:
+        return self._table(s).index
 
     def matrix(self, s: int) -> F2Matrix:
         """Differential from slice s to slice s+1 in the shared chain bases."""
         got = self._matrices.get(s)
         if got is not None:
             return got
-        src = self.words(s)
-        tgt_index = self.index(s + 1)
-        cols = []
-        for chain in src:
-            col = 0
-            for target in self._targets(chain):
-                try:
-                    col ^= 1 << tgt_index[target]
-                except KeyError:
-                    raise AssertionError(f"boundary target {target} of {chain} missing") from None
-            cols.append(col)
-        got = self._matrices[s] = F2Matrix(len(tgt_index), len(src), tuple(cols))
+        src, tgt = self._table(s), self._table(s + 1)
+        key = tgt.key, self._coeff_key()
+        got = src.matrices.get(key)
+        if got is None:
+            cols = []
+            for chain in src.words:
+                col = 0
+                for target in self._targets(chain):
+                    try:
+                        col ^= 1 << tgt.index[target]
+                    except KeyError:
+                        raise AssertionError(
+                            f"boundary target {target} of {chain} missing") from None
+                cols.append(col)
+            got = src.matrices[key] = F2Matrix(len(tgt.words), len(src.words), tuple(cols))
+        self._matrices[s] = got
         return got
 
     def cohomology(self, s: int) -> CohomologyResult:
@@ -193,13 +219,17 @@ class SlicesBase:
         got = self._cohom.get(s)
         if got is not None:
             return got
-        if s == 0:
-            d_in = F2Matrix.zero(len(self.words(0)), 0)
-        else:
-            d_in = self.matrix(s - 1)
-        result = cohomology_dim(d_in, self.matrix(s))
-        self._cohom[s] = result
-        return result
+        # list slices s-1, s, s+1 in ascending order, so that an oversized
+        # slice is refused at the same s as when the matrices list them
+        prev = self._table(s - 1).key if s else 0
+        here, nxt = self._table(s), self._table(s + 1)
+        key = prev, nxt.key, self._coeff_key()
+        got = here.cohomology.get(key)
+        if got is None:
+            d_in = self.matrix(s - 1) if s else F2Matrix.zero(len(here.words), 0)
+            got = here.cohomology[key] = cohomology_dim(d_in, self.matrix(s))
+        self._cohom[s] = got
+        return got
 
 
 class SliceComplex(SlicesBase):
@@ -224,6 +254,10 @@ class SliceComplex(SlicesBase):
 
     def _chains(self, s: int):
         return _words(s, *self._band(s))
+
+    def _coeff_key(self) -> tuple:
+        # coaction_letters(beta, n) reads beta mod 2^n at a finite level (Lucas)
+        return self.n, self.p_key if self.n is None else self.p_key % 2**self.n
 
     def _targets(self, word: tuple[int, ...]):
         for i in coaction_letters(self.p_key - sum(word), self.n):

@@ -14,9 +14,12 @@ since it adds y_r only when bit r of beta is set.  At the untruncated level
 every bit of beta is used.  Complexes are shared under the cobar key
 (n, invert_u, p_key, e_floor) in their own LRU.  The model supplies the three
 hooks of cobar.SlicesBase: `_chains`, `_targets` (the terms of d above) and
-`_legal` (every index below n), and its `_chain_key` drops p with u
+`_legal` (every index below n).  Its `_chain_key` drops p with u
 inverted, so the complexes of one weight cut share their chain tables
-whatever p mod 2^n.  The base assembles the matrices, and
+whatever p mod 2^n, and it reads the cut as max(s, e_floor): s indices
+weigh at least s, so every cut up to s lists the same slice s.  Its
+`_coeff_key` is p_key & _mask, the bits of beta that d reads.  The base
+assembles the matrices, shared like the tables, and
 cobar._truncation_map restricts to a lower level, sending y_r to 0 for
 r >= lo.n.  stable_level gives the level from which the u-inverted tower of
 a degree is constant; slice charts and xadic.completed_basis read it.
@@ -78,7 +81,12 @@ class KoszulComplex(SlicesBase):
         self._mask = (1 << self._r_top) - 1
 
     def _chain_key(self, s: int) -> tuple:
-        return self._r_top, s, self.e_floor, None if self.invert_u else self.p_key
+        # s indices weigh at least s, so every cut up to s lists one slice
+        return (self._r_top, s, max(s, self.e_floor),
+                None if self.invert_u else self.p_key)
+
+    def _coeff_key(self) -> int:
+        return self.p_key & self._mask
 
     def _chains(self, s: int):
         chains = y_chains(self._r_top, s, self.e_floor)

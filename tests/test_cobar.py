@@ -1,4 +1,5 @@
 from collections import Counter
+import weakref
 
 import pytest
 
@@ -268,6 +269,8 @@ def test_matrix_rejects_a_boundary_target_outside_the_next_slice(monkeypatch, cx
         yield (99,) + chain
 
     monkeypatch.setattr(type(cx), "_targets", one_too_many)
+    # fresh tables: a matrix that another test assembled is shared, not rebuilt
+    monkeypatch.setattr(cobar, "_TABLES", weakref.WeakValueDictionary())
     with pytest.raises(AssertionError, match="missing"):
         cx.matrix(1)
 
