@@ -104,11 +104,15 @@ class F2Matrix:
 
     def apply(self, v: int) -> int:
         """Apply to a column vector packed as an int (bit j = coordinate j):
-        the sum of the columns that v picks."""
+        the sum of the columns that v picks.  The set bits are walked inline,
+        lowest first: v & -v isolates the low bit, its bit_length - 1 is the
+        column, and xor clears it."""
         cols = self.col_bits
         out = 0
-        for j in bits(v):
-            out ^= cols[j]
+        while v:
+            low = v & -v
+            out ^= cols[low.bit_length() - 1]
+            v ^= low
         return out
 
     def rank(self) -> int:

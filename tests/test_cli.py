@@ -299,6 +299,8 @@ PINNED_STDOUT = [
      "6082eceeb2b9d74a008b6f8f96597e549de5aaef40aeb57dea4beaa479aa89fc"),
     (('verify', 'axioms', '--nmax', '2', '--window', '3'),
      "56ffeead95907adf64d223e482dba40fc5ddf8451f3a170a05d4ad7d7b74465a"),
+    (('verify', 'axioms'),
+     "773e0526a23edd72dec9c55ae589398d0cee98e538b42beae726686c5def3058"),
     (('verify', 'coboundary', '--rmax', '1', '--mmax', '1', '--nmax', '2'),
      "491c4ef03f0c322aa0879d388ecd5473f6d6d21e349b4769eebca996246155fc"),
     (('verify', 'vanishing', '--p', '-2..2', '--budget', '-3..-1', '--smax', '2'),

@@ -208,6 +208,27 @@ def test_mul_and_apply_agree():
             assert prod.apply(1 << j) == m1.apply(m2.apply(1 << j))
 
 
+def test_apply_and_mul_match_the_entries():
+    rng = random.Random(11)
+    shapes = [(1, 1, 1), (130, 3, 2), (3, 130, 2), (70, 90, 3)]
+    shapes += [(rng.randrange(1, 90), rng.randrange(1, 90), rng.randrange(1, 6))
+               for _ in range(30)]
+    for rows, inner, cols in shapes:
+        a = F2Matrix(rows, inner, tuple(rng.getrandbits(rows) for _ in range(inner)))
+        b = F2Matrix(inner, cols, tuple(rng.getrandbits(inner) for _ in range(cols)))
+        assert a.apply(0) == 0
+        for v in (0, rng.getrandbits(inner), (1 << inner) - 1):
+            want = sum((sum(a.entry(i, j) for j in range(inner) if (v >> j) & 1) % 2) << i
+                       for i in range(rows))
+            assert a.apply(v) == want
+        prod = a.mul(b)
+        assert (prod.rows, prod.cols) == (rows, cols)
+        for i in range(rows):
+            for k in range(cols):
+                want = sum(a.entry(i, j) & b.entry(j, k) for j in range(inner)) % 2
+                assert prod.entry(i, k) == want
+
+
 def test_bits_ascending():
     assert list(bits(0)) == []
     assert list(bits(0b101001)) == [0, 3, 5]

@@ -195,6 +195,40 @@ def test_axiom_suite_catches_a_corrupted_right_unit(monkeypatch):
     ]
 
 
+def test_axiom_suite_reads_each_coaction_once_per_argument():
+    calls = {}
+
+    def counting(alpha, beta, n):
+        calls[alpha, beta, n] = calls.get((alpha, beta, n), 0) + 1
+        return coaction(alpha, beta, n)
+
+    for run in (1, 2):
+        report = check_axioms(3, coeff_window=4, cone_window=4, coaction_fn=counting)
+        assert report.ok, report.lines()
+        assert calls and set(calls.values()) == {run}
+
+
+def test_axiom_suite_catches_a_level_4_only_fault_at_the_same_cases():
+    def corrupted(alpha, beta, n):
+        # x^8 first exists at level 4
+        terms = coaction(alpha, beta, n)
+        if beta < 0:
+            return frozenset(t for t in terms if t[2] != 8)
+        return terms
+
+    assert check_axioms(3, coeff_window=6, cone_window=6, coaction_fn=corrupted).ok
+    report = check_axioms(4, coeff_window=6, cone_window=6, coaction_fn=corrupted)
+    assert report.lines() == [
+        "level 4: comultiplication coassociativity: 16 cases: pass",
+        "level 4: comultiplication counit: 16 cases: pass",
+        "level 4: comodule coassociativity: 1 cases: FAIL (a^0 u^-6)",
+        "level 4: comodule counit: 91 cases: pass",
+        "level 4: coaction multiplicativity: 2 cases: FAIL (a^0 u^-6 times a^0 u^-5)",
+        "level 4: right unit multiplicativity: 2401 cases: pass",
+        "level 4: right unit cone compatibility: 1372 cases: pass",
+    ]
+
+
 def test_untruncated_requires_letter_bound():
     with pytest.raises(ValueError):
         check_axioms(None)
