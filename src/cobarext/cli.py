@@ -76,13 +76,23 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def parse_jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need a positive worker count, got {text!r}")
+    return int(text)
+
+
 def pool_map(fn, items, jobs: int):
-    """Map preserving input order; fan out only when it can actually help."""
+    """Map preserving input order; fan out only when it can actually help.
+
+    A fork pool starts all its workers at the first submit, so it gets at
+    most one per item and per CPU, whatever jobs asks for."""
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), default_jobs())
+    if workers <= 1:
         return [fn(it) for it in items]
-    chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
@@ -262,8 +272,9 @@ def _add_spq(p):
 
 
 def _add_jobs(p):
-    p.add_argument("--jobs", type=int, default=default_jobs(),
-                   help="worker processes (never affects output bytes)")
+    p.add_argument("--jobs", type=parse_jobs, default=default_jobs(),
+                   help="worker processes, at most one per CPU "
+                        "(never affects output bytes)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,7 +416,7 @@ def main(argv=None) -> int:
             ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (cobar.NotStabilizedError, charts.ChartMismatchError) as e:
+    except charts.ChartMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ lower level.  Both models share one key, slice_key.
 Cobar is the reference: `ext`, `ext-table` and every label come from it.
 Callers that read only dims take them from the Koszul complexes:
 limit_ext_report's certificates, verify_localization and
-a_multiplication_rank here, and xadic.verify_einfty.
+a_multiplication_rank here, xadic.verify_einfty and charts.slice_chart.
 
 A chain table (the chain list of a slice and its index) is shared by every
 complex of one model with the same `_chain_key(s)` through the weak registry
@@ -69,17 +69,6 @@ class UnboundedBasisError(Exception):
 
 class ComplexTooLargeError(Exception):
     """A slice basis exceeds MAX_SLICE_DIM."""
-
-
-class NotStabilizedError(Exception):
-    """Transition image dimensions were still moving at the deepest level."""
-
-    def __init__(self, report: "LimitReport"):
-        super().__init__(
-            f"limit not certified at s={report.s}, d={report.degree}, "
-            f"levels {report.levels}: dims {report.dims}, images {report.image_dims}"
-        )
-        self.report = report
 
 
 def ceil_half(v: int) -> int:
@@ -484,7 +473,8 @@ def limit_ext_report(s: int, d: RO2Degree, levels) -> LimitReport:
 
     Either rule only attests to the inspected window: a class born
     above the top level is invisible.  From koszul.stable_level(s, d) on the
-    tower is constant; slice charts and limit-ext's default start there.
+    tower is constant; limit-ext's default starts there, and slice charts
+    read the one complex at that level instead of a tower.
     """
     from .koszul import get_koszul  # koszul.py builds on this module
 
@@ -519,19 +509,15 @@ class LocalizationEntry:
     inverted_dim: int
     shifts: tuple[int, int]
     shifted_dims: tuple[int, int]
-    periodic_ok: bool
 
     @property
     def ok(self) -> bool:
-        return (
-            self.periodic_ok
-            and self.shifted_dims[0] == self.shifted_dims[1] == self.inverted_dim
-        )
+        return self.shifted_dims[0] == self.shifted_dims[1] == self.inverted_dim
 
     def fail_line(self) -> str:
         return (f"FAIL n={self.n} s={self.s} p={self.p} q={self.q}: inverted "
                 f"{self.inverted_dim}, shifted dims {list(self.shifted_dims)} at "
-                f"t={list(self.shifts)}, periodic={self.periodic_ok}")
+                f"t={list(self.shifts)}")
 
     def failure_dict(self) -> dict:
         return asdict(self)
@@ -571,12 +557,10 @@ def verify_localization(n_values=(1, 2), window: int = 6,
     two largest t in the test range; t runs far enough that the shift
     clears every denominator a slice could carry (weight of slices s-1..s+1
     is at most (s+1)(2^n - 1)), which is where multiplication by u^(2^n)
-    has become an isomorphism.  Inverted dims are also checked to be
-    u^(2^n)-periodic, the shifted one on the complex keyed by the unreduced
-    p + 2^n (get_koszul would return the same object as at d).  Every dim
-    is read from the Koszul complex (the tests recompute them on cobar).
+    has become an isomorphism.  Every dim is read from the Koszul complex
+    (the tests recompute them on cobar).
     """
-    from .koszul import _shared_koszul, get_koszul  # koszul.py builds on this module
+    from .koszul import get_koszul  # koszul.py builds on this module
 
     entries = []
     for n in n_values:
@@ -588,8 +572,6 @@ def verify_localization(n_values=(1, 2), window: int = 6,
                     d = RO2Degree(p, q)
                     inv = get_koszul(d, n, True).cohomology(s).dim
                     shift = RO2Degree(period, -period)
-                    e_floor = slice_key(d, n, True)[3]
-                    inv_shifted = _shared_koszul(n, True, p + period, e_floor).cohomology(s).dim
                     # least t >= 1 with p + t * period >= (s + 1) * cap
                     t_suff = max(1, -((p - (s + 1) * cap) // period))
                     t_pair = (t_suff + 1, t_suff + 2)
@@ -597,7 +579,5 @@ def verify_localization(n_values=(1, 2), window: int = 6,
                         get_koszul(d + shift.scaled(t), n, False).cohomology(s).dim
                         for t in t_pair
                     )
-                    entries.append(LocalizationEntry(
-                        n, s, p, q, inv, t_pair, dims, inv_shifted == inv
-                    ))
+                    entries.append(LocalizationEntry(n, s, p, q, inv, t_pair, dims))
     return EntriesReport(tuple(entries))

@@ -9,12 +9,12 @@ beta = p - w, alpha = 2w - p - q >= 0, and differential
 d(y^I) = sum of y^(I + e_r) over the set bits r of beta below n.  That is at
 most C(n+s-1, s) chains per slice, against about (2^n - 1)^s cobar words.
 With u not inverted a chain also needs beta >= 0, i.e. w <= p; d keeps that,
-since it adds y_r only when bit r of beta is set.  At the untruncated level
-(n = None, u not inverted) the indices run below bit_length(max(p, 0)) and
-every bit of beta is used.  Complexes are shared under the cobar key
-(n, invert_u, p_key, e_floor) in their own LRU.  The model supplies the three
-hooks of cobar.SlicesBase: `_chains`, `_targets` (the terms of d above) and
-`_legal` (every index below n).  Its `_chain_key` drops p with u
+since it adds y_r only when bit r of beta is set.  index_top bounds the
+indices, here and on the closed-form pages of xadic.  At the untruncated
+level (n = None, u not inverted) every bit of beta is used.  Complexes are
+shared under the cobar key (n, invert_u, p_key, e_floor) in their own LRU.
+The model supplies the three hooks of cobar.SlicesBase: `_chains`,
+`_targets` (the terms of d above) and `_legal` (every index below n).  Its `_chain_key` drops p with u
 inverted, so the complexes of one weight cut share their chain tables
 whatever p mod 2^n, and it reads the cut as max(s, e_floor): s indices
 weigh at least s, so every cut up to s lists the same slice s.  Its
@@ -22,7 +22,8 @@ weigh at least s, so every cut up to s lists the same slice s.  Its
 assembles the matrices, shared like the tables, and
 cobar._truncation_map restricts to a lower level, sending y_r to 0 for
 r >= lo.n.  stable_level gives the level from which the u-inverted tower of
-a degree is constant; slice charts and xadic.completed_basis read it.
+a degree is constant; slice charts read one complex there, and
+xadic.completed_basis bounds its indices by it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ def y_chains(r_top: int, s: int, w_min: int):
         w = sum(ws)
         if w >= w_min:
             yield chain, w
+
+
+def index_top(n: TruncationLevel, invert_u: bool, p: int) -> int:
+    """The bound on the y-indices r of the chains of degree p at level n:
+    r < n, and with u not inverted also 2^r <= p, since the weight w <= p
+    (u-exponent p - w >= 0); at n = None only the second bound holds."""
+    if invert_u:
+        return n
+    top = max(p, 0).bit_length()
+    return top if n is None else min(top, n)
 
 
 def stable_level(s: int, d: RO2Degree) -> int:
@@ -75,9 +86,7 @@ class KoszulComplex(SlicesBase):
 
     def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
         super().__init__(n, invert_u, p_key, e_floor)
-        # with u not inverted, w <= p bounds every index: 2^r <= p
-        top = n if invert_u else max(p_key, 0).bit_length()
-        self._r_top = top if n is None else min(top, n)
+        self._r_top = index_top(n, invert_u, p_key)
         self._mask = (1 << self._r_top) - 1
 
     def _chain_key(self, s: int) -> tuple:

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import cobar
-from .grading import CobarMonomial, RO2Degree, binom_mod2, power_label
-from .hopf import TruncationLevel, check_level, level_str
-from .koszul import get_koszul, stable_level, y_chains
+from .grading import CobarMonomial, RO2Degree, power_label
+from .hopf import TruncationLevel, check_level, coaction_letters, level_str
+from .koszul import get_koszul, index_top, stable_level, y_chains
 
 
 class StageOutOfRangeError(Exception):
@@ -122,9 +122,8 @@ def _y_monomials(r_top: int, s: int, d: RO2Degree, condition,
 def _page(n: TruncationLevel, t: int | None, s: int, d: RO2Degree) -> list[EinftyMonomial]:
     """Basis of the stage-t page (t = None: the final page) at level n in
     filtration s and degree d, u-exponent >= 0."""
-    # with u not inverted, k = p - weight >= 0 forces 2^r <= p
-    r_top = max(d.p, 0).bit_length() if n is None else n
-    return _y_monomials(r_top, s, d, lambda mono: mono.admissible(n, t), k_min=0)
+    return _y_monomials(index_top(n, False, d.p), s, d,
+                        lambda mono: mono.admissible(n, t), k_min=0)
 
 
 def einfty_basis(n: TruncationLevel, s: int, d: RO2Degree) -> list[EinftyMonomial]:
@@ -223,15 +222,14 @@ class CoboundaryReport:
 
 def verify_coboundary(r: int, m: int, n: int) -> CoboundaryCheck:
     """Check d(u^(2^r (2m+1))) = u^(2^(r+1) m) a^(2^(r+1)) [x^(2^r)] up to
-    terms whose bar letter exceeds 2^r."""
+    terms whose bar letter exceeds 2^r, on the letters of the reduced
+    coaction of that u-power at level n (hopf.coaction_letters)."""
     if n <= r:
         raise ValueError(f"need n > r so x^(2^{r}) is a legal letter")
     big_n = 2**r * (2 * m + 1)
     kept = []
     discarded = []
-    for i in range(1, 2**n):
-        if not binom_mod2(big_n, i):
-            continue
+    for i in coaction_letters(big_n, n):
         term = CobarMonomial(2 * i, big_n - i, (i,))
         if i <= 2**r:
             kept.append(term)

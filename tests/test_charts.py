@@ -91,11 +91,27 @@ def test_slice_chart_consistency_windows():
     assert charts.slice_chart(0, (2, 1), 2) == []
 
 
+def test_slice_chart_reads_one_koszul_complex_per_cell_at_its_stable_level(monkeypatch):
+    calls = []
+    real = koszul.get_koszul
+
+    def recording(d, n, invert_u=True):
+        calls.append((d, n, invert_u))
+        return real(d, n, invert_u)
+
+    monkeypatch.setattr(koszul, "get_koszul", recording)
+    sigma, stems, s_max = 2, (-2, 5), 4
+    assert charts.slice_chart(sigma, stems, s_max)
+    cells = [(s, RO2Degree(stem + s, sigma))
+             for stem in range(stems[0], stems[1] + 1) for s in range(s_max + 1)]
+    assert calls == [(d, koszul.stable_level(s, d), True) for s, d in cells]
+
+
 def test_slice_chart_refuses_a_window_below_the_stable_level(monkeypatch):
-    # the class in (s=1, d=(2,0)) is born at level 2, so a tower at levels
-    # (1, 2, 3) does not stabilize, and the chart refuses instead of guessing
+    # a^2 y_1 in (s=1, d=(2,0)) is born at level 2: the Koszul dim at level 1
+    # is 0 while the closed form lists it, so the chart refuses
     monkeypatch.setattr(koszul, "stable_level", lambda s, d: 1)
-    with pytest.raises(cobar.NotStabilizedError):
+    with pytest.raises(charts.ChartMismatchError, match="a\\^2 y_1"):
         charts.slice_chart(0, (1, 1), 1)
 
 

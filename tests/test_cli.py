@@ -110,6 +110,55 @@ def test_verify_einfty_deterministic_across_jobs():
     assert "0 mismatches: pass" in outs[0]
 
 
+def test_pool_starts_at_most_one_worker_per_item_and_cpu(monkeypatch, capsys):
+    # a stand-in executor records its size and maps in process, so no
+    # worker is ever started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli.pool_map(str, range(3), 5000) == ["0", "1", "2"]
+    assert cli.pool_map(str, range(10), 5000) == [str(i) for i in range(10)]
+    assert cli.pool_map(str, range(10), 2) == [str(i) for i in range(10)]
+    assert cli.pool_map(str, range(10), 1) == [str(i) for i in range(10)]
+    assert sizes == [3, 4, 2]
+    argv = ["chart", "--stems", "0..7", "--smax", "2"]
+    assert cli.main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert cli.main(argv + ["--jobs", "5000"]) == 0
+    assert sizes == [3, 4, 2, 4]
+    assert capsys.readouterr().out == serial
+
+
+JOBS_COMMANDS = [
+    ("ext-table", "--n", "1", "--s", "0..0", "--p", "0..0", "--q", "0..0"),
+    ("verify", "einfty", "--n", "1", "--window", "0", "--smax", "0"),
+    ("chart", "--stems", "0..0", "--smax", "0"),
+]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "x"])
+@pytest.mark.parametrize("argv", JOBS_COMMANDS, ids=[a[0] for a in JOBS_COMMANDS])
+def test_jobs_must_be_a_positive_integer(capsys, argv, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv) + ["--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"need a positive worker count, got '{jobs}'" in capsys.readouterr().err
+
+
 def test_verify_vanishing_small_window():
     r = run("verify", "vanishing", "--p", "-2..2", "--budget", "-3..-1",
             "--smax", "2")
@@ -184,16 +233,16 @@ def test_chart_sigma_slice():
 
 
 def test_chart_sigma_slice_reaches_late_born_classes():
-    # y_4 sits at (stem 15, s 1, sigma 16) and is born at level 5; its tower
-    # starts at the stable level, with no cap to raise
+    # y_4 sits at (stem 15, s 1, sigma 16) and is born at level 5, the
+    # stable level at which the chart reads the cell
     r = run("chart", "--sigma", "16", "--stems", "15..15", "--smax", "1")
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[1:] == ["15\t1\t16\ty_4"]
 
 
 def test_chart_sigma_zero_at_defaults():
-    # stems 0..7, s <= 8, each tower at its stable level: the cobar towers
-    # ran past 150 s
+    # stems 0..7, s <= 8, each cell read at its stable level: cobar towers
+    # from a fixed level ran past 150 s
     r = run("chart", "--sigma", "0", timeout=60)
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
@@ -394,8 +443,8 @@ FAILING = [
      xadic, "verify_vanishing", _fail_first_entry(got_dim=1, got_basis=("a",)),
      "4f2b86f9cd87ea40d0d8cd03c140c78e4ef390bf967c6eda36d8c6736883040e"),
     (('verify', 'localization', '--n', '1', '--window', '1', '--smax', '1'),
-     cobar, "verify_localization", _fail_first_entry(periodic_ok=False),
-     "45cd89a9f873143f0c36b049d7d99a9f92e0f5b5950fded0f611ad03e36cc80e"),
+     cobar, "verify_localization", _fail_first_entry(shifted_dims=(0, 1)),
+     "4d2b298f32fddae98bc8f0bfd24edcf96f44c08de6cdf621c6c3a65270ffcc54"),
     (('limit-ext', '--s', '1', '--p', '1', '--q', '1'), cobar, "limit_ext_report",
      _on_result(lambda rep: dataclasses.replace(rep, stabilized=False, limit_dim=None)),
      "2679eaa0e92720ee71f69ad037999726265c178a52822dad3a3842a77c0b8e14"),

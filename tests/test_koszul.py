@@ -170,7 +170,7 @@ def test_towers_from_the_stable_level_match_the_weight_quotient():
         n = koszul.stable_level(s, d)
         report = cobar.limit_ext_report(s, d, range(n, n + 3))
         assert report.stabilized, (s, d)
-        assert report.limit_dim == _quotient_limit(s, d), (s, d)
+        assert report.dims[0] == report.limit_dim == _quotient_limit(s, d), (s, d)
 
 
 def test_completed_names_use_indices_below_the_stable_level():
