@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import charts, cobar, hopf, koszul, xadic
 from .grading import RO2Degree, parse_monomial, word_label
@@ -86,11 +85,14 @@ def pool_map(fn, items, jobs: int):
     """Map preserving input order; fan out only when it can actually help.
 
     A fork pool starts all its workers at the first submit, so it gets at
-    most one per item and per CPU, whatever jobs asks for."""
+    most one per item and per CPU, whatever jobs asks for.  The pool is
+    imported here, not at start-up: it pulls in multiprocessing, which a
+    serial run never needs."""
     items = list(items)
     workers = min(jobs, len(items), default_jobs())
     if workers <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

@@ -24,7 +24,8 @@ lower level.  Both models share one key, slice_key.
 Cobar is the reference: `ext`, `ext-table` and every label come from it.
 Callers that read only dims take them from the Koszul complexes:
 limit_ext_report's certificates, verify_localization and
-a_multiplication_rank here, xadic.verify_einfty and charts.slice_chart.
+a_multiplication_rank here, xadic.verify_einfty (one worker per
+filtration, xadic._einfty_slice) and charts.slice_chart.
 
 A chain table (the chain list of a slice and its index) is shared by every
 complex of one model with the same `_chain_key(s)` through the weak registry

@@ -9,7 +9,11 @@ EinftyMonomial.admissible), and hosts the verifiers
 that cross-check the closed forms against computed cohomology: fixed-level
 dims against the Koszul complex (u not inverted, finite levels and inf;
 the tests check those dims against cobar), and the completed vanishing
-range against Koszul level towers whose labels come from cobar.  The
+range against Koszul level towers whose labels come from cobar.  Every
+page comes from one enumerator, _window_monomials, which walks the
+y-chains of koszul.y_chains once for a whole window of degrees: one-degree
+pages, completed names and charts ask for a window of one degree, and
+verify_einfty for each filtration's full window.  The
 monomials are the names charts draw: each chart dot carries its
 EinftyMonomial, so no label is ever parsed back.
 """
@@ -101,22 +105,38 @@ def _check_stage(n: TruncationLevel, t: int) -> None:
         raise StageOutOfRangeError(f"stage {t} outside 0..{n}")
 
 
+def _window_monomials(r_top: int, s: int, p_span: tuple[int, int],
+                      q_span: tuple[int, int], condition,
+                      k_min: int | None = None) -> dict[tuple[int, int], list[EinftyMonomial]]:
+    """All monomials of filtration s with y-indices below r_top, a-exponent
+    >= 0 and u-exponent >= k_min (any when None) that pass condition, listed
+    for every degree (p, q) of the window p_span x q_span, in (p, q) order,
+    each degree's list in sort_key order.
+
+    One walk over the y-chains serves the whole window: a chain of weight w
+    is a^(2w-p-q) u^(p-w) y_I in each degree (p, q) where both exponents
+    are in range.
+    """
+    (p_lo, p_hi), (q_lo, q_hi) = p_span, q_span
+    pages = {(p, q): [] for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)}
+    # the a-exponent m = 2 * weight - p - q is >= 0 somewhere in the window
+    # from this weight floor on
+    for chain, w in y_chains(r_top, s, cobar.ceil_half(p_lo + q_lo)):
+        powers = tuple(chain.count(r) for r in range(chain[-1] + 1)) if chain else ()
+        for p in range(p_lo if k_min is None else max(p_lo, w + k_min), p_hi + 1):
+            for q in range(q_lo, min(q_hi, 2 * w - p) + 1):
+                mono = EinftyMonomial(2 * w - p - q, p - w, powers)
+                if condition(mono):
+                    pages[p, q].append(mono)
+    for monos in pages.values():
+        monos.sort(key=EinftyMonomial.sort_key)
+    return pages
+
+
 def _y_monomials(r_top: int, s: int, d: RO2Degree, condition,
                  k_min: int | None = None) -> list[EinftyMonomial]:
-    """All monomials of filtration s and degree d with y-indices below r_top,
-    a-exponent >= 0 and u-exponent >= k_min (any when None) that pass
-    condition, in sort_key order."""
-    out = []
-    # the a-exponent m = 2 * weight - p - q is >= 0 from this weight floor on
-    for chain, w in y_chains(r_top, s, cobar.ceil_half(d.p + d.q)):
-        k = d.p - w
-        if k_min is not None and k < k_min:
-            continue
-        powers = tuple(chain.count(r) for r in range(chain[-1] + 1)) if chain else ()
-        mono = EinftyMonomial(2 * w - d.p - d.q, k, powers)
-        if condition(mono):
-            out.append(mono)
-    return sorted(out, key=EinftyMonomial.sort_key)
+    """_window_monomials over the window of the one degree d."""
+    return _window_monomials(r_top, s, (d.p, d.p), (d.q, d.q), condition, k_min)[d.p, d.q]
 
 
 def _page(n: TruncationLevel, t: int | None, s: int, d: RO2Degree) -> list[EinftyMonomial]:
@@ -359,31 +379,34 @@ class EinftyReport:
                     for m in self.mismatches]}
 
 
-def _einfty_cell(args):
-    n, s, p, q = args
-    d = RO2Degree(p, q)
-    got = get_koszul(d, n, False).cohomology(s).dim
-    return s, p, q, got, len(einfty_basis(n, s, d))
+def _einfty_slice(args):
+    """The rows (s, p, q, Koszul dim, closed-form count) of filtration s over
+    the window, in (p, q) order, from one listing of its closed-form pages.
+    The index bound of the top p serves every p: k >= 0 drops the chains
+    with 2^r > p."""
+    n, s, window = args
+    span = (-window, window)
+    pages = _window_monomials(index_top(n, False, window), s, span, span,
+                              lambda mono: mono.admissible(n), k_min=0)
+    return [(s, p, q, get_koszul(RO2Degree(p, q), n, False).cohomology(s).dim, len(monos))
+            for (p, q), monos in pages.items()]
 
 
 def verify_einfty(n: TruncationLevel, window: int, s_max: int,
                   map_fn=map) -> EinftyReport:
     """Exhaustively compare Ext dims, from the Koszul complex with u not
-    inverted, with the closed-form counts.
+    inverted, with the closed-form counts, over s <= s_max and
+    |p|, |q| <= window.
 
-    map_fn(fn, cells) must return results in cell order; a process pool's
-    ordered map fits, since _einfty_cell pickles.
+    One work item per filtration s: map_fn(fn, items) must return results
+    in item order; a process pool's ordered map fits, since _einfty_slice
+    pickles.
     """
-    cells = (
-        (n, s, p, q)
-        for s in range(s_max + 1)
-        for p in range(-window, window + 1)
-        for q in range(-window, window + 1)
-    )
     mismatches = []
     checked = 0
-    for s, p, q, got, want in map_fn(_einfty_cell, cells):
-        checked += 1
-        if got != want:
-            mismatches.append(EinftyMismatch(n, s, p, q, got, want))
+    for rows in map_fn(_einfty_slice, ((n, s, window) for s in range(s_max + 1))):
+        for s, p, q, got, want in rows:
+            checked += 1
+            if got != want:
+                mismatches.append(EinftyMismatch(n, s, p, q, got, want))
     return EinftyReport(n, window, s_max, checked, tuple(mismatches))

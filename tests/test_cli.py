@@ -128,7 +128,7 @@ def test_pool_starts_at_most_one_worker_per_item_and_cpu(monkeypatch, capsys):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     assert cli.pool_map(str, range(3), 5000) == ["0", "1", "2"]
     assert cli.pool_map(str, range(10), 5000) == [str(i) for i in range(10)]
@@ -141,6 +141,16 @@ def test_pool_starts_at_most_one_worker_per_item_and_cpu(monkeypatch, capsys):
     assert cli.main(argv + ["--jobs", "5000"]) == 0
     assert sizes == [3, 4, 2, 4]
     assert capsys.readouterr().out == serial
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # the pool and multiprocessing load only when pool_map fans out
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cobarext.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
 
 
 JOBS_COMMANDS = [

@@ -1,8 +1,9 @@
 import hashlib
+import types
 
 import pytest
 
-from cobarext import cobar, xadic
+from cobarext import cobar, koszul, xadic
 from cobarext.grading import RO2Degree
 from cobarext.xadic import EinftyMonomial
 
@@ -137,6 +138,65 @@ def test_einfty_oracle_sample():
     assert xadic.verify_einfty(
         1, 5, 3, map_fn=lambda fn, cells: [fn(c) for c in list(cells)[::-1]][::-1]
     ) == report
+
+
+def test_verify_einfty_lists_the_monomials_of_each_filtration_once(monkeypatch):
+    walks = []
+    real = xadic.y_chains
+
+    def counting(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(xadic, "y_chains", counting)
+    assert xadic.verify_einfty(2, 5, 3).ok
+    assert len(walks) == 4
+
+
+def test_verify_einfty_reports_a_planted_koszul_dim(monkeypatch):
+    # the Koszul dim of one cell is off by one; the report must name that
+    # cell and no other, whatever order the map evaluates the items in
+    class Planted:
+        def __init__(self, cx):
+            self.cx = cx
+
+        def cohomology(self, s):
+            res = self.cx.cohomology(s)
+            return types.SimpleNamespace(dim=res.dim + 1) if s == 2 else res
+
+    real = xadic.get_koszul
+
+    def planting(d, n, invert_u=True):
+        cx = real(d, n, invert_u)
+        return Planted(cx) if d == RO2Degree(3, 1) else cx
+
+    want = len(xadic.einfty_basis(1, 2, RO2Degree(3, 1)))
+    monkeypatch.setattr(xadic, "get_koszul", planting)
+    expected = (xadic.EinftyMismatch(1, 2, 3, 1, want + 1, want),)
+    report = xadic.verify_einfty(1, 5, 3)
+    assert report.mismatches == expected and report.checked == 4 * 11 * 11
+    assert xadic.verify_einfty(
+        1, 5, 3, map_fn=lambda fn, cells: [fn(c) for c in list(cells)[::-1]][::-1]
+    ) == report
+
+
+@pytest.mark.parametrize("k_min", [0, None])
+def test_window_lists_equal_the_one_degree_lists(k_min):
+    span = (-12, 12)
+    for n in (1, 2, 3, None):
+        def admissible(mono):
+            return mono.admissible(n)
+
+        for s in range(7):
+            # with k >= 0 the window takes its top p's index bound and a lone
+            # degree its own; with any k both take one bound
+            top = koszul.index_top(n, False, span[1]) if k_min == 0 else n or 4
+            window = xadic._window_monomials(top, s, span, span, admissible, k_min)
+            assert len(window) == 25 * 25
+            for (p, q), monos in window.items():
+                r_top = koszul.index_top(n, False, p) if k_min == 0 else top
+                assert monos == xadic._y_monomials(
+                    r_top, s, RO2Degree(p, q), admissible, k_min), (n, s, p, q)
 
 
 def test_predicted_a_rank_matches_cobar():
