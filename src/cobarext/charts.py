@@ -7,11 +7,10 @@ expands that monomial directly and never parses a label."""
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass
 
 from . import koszul, xadic
 from .grading import RO2Degree
+from .records import Record
 from .xadic import EinftyMonomial
 
 
@@ -23,35 +22,35 @@ class ChartMismatchError(Exception):
     """Closed-form dot names disagree with the computed dimension."""
 
 
-@dataclass(frozen=True)
-class ChartDot:
+class ChartDot(Record):
     stem: int
     filtration: int
     sigma: int
     label: str
     mono: EinftyMonomial
+    __slots__ = tuple(__annotations__)
 
     def sort_key(self):
         return (self.stem, self.filtration, self.sigma, self.label)
 
 
-@dataclass(frozen=True)
-class ChartArrow:
+class ChartArrow(Record):
     source: ChartDot
     target: ChartDot
+    __slots__ = tuple(__annotations__)
 
 
-@dataclass(frozen=True)
-class DroppedArrow:
+class DroppedArrow(Record):
     source: ChartDot
     target_label: str
     reason: str
+    __slots__ = tuple(__annotations__)
 
 
-@dataclass(frozen=True)
-class OverlayResult:
+class OverlayResult(Record):
     arrows: tuple[ChartArrow, ...]
     dropped: tuple[DroppedArrow, ...]
+    __slots__ = tuple(__annotations__)
 
 
 def _dot(mono: EinftyMonomial) -> ChartDot:
@@ -176,6 +175,8 @@ def render(dots, arrows=(), fmt: str = "tsv") -> str:
             lines.append(f"{d.stem}\t{d.filtration}\t{d.sigma}\t{d.label}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json  # loaded only when a document is written
+
         doc = {
             "dots": [_dot_dict(d) for d in dots],
             "arrows": [

@@ -3,14 +3,14 @@
 Every command writes byte-deterministic output for a fixed invocation;
 parallel fan-out merges results in canonical order so --jobs never changes
 the bytes.  Exit codes: 0 success/pass, 1 verification or stabilization
-failure, 2 usage error or a window the guards refuse.
+failure, 2 usage error, a window the guards refuse or one that ran out of
+memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -57,6 +57,8 @@ def emit(text: str, path: str | None) -> None:
 
 
 def emit_json(obj, path: str | None) -> None:
+    import json  # loaded only when a document is written
+
     emit(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", path)
 
 
@@ -421,6 +423,13 @@ def main(argv=None) -> int:
     except charts.ChartMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass
+    # out of memory: a window no guard refused.  Reported here, once the
+    # exception and the frames holding the work's data are released.
+    command = " ".join(filter(None, (args.command, getattr(args, "check", None))))
+    print(f"error: {command} ran out of memory; try a smaller window", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

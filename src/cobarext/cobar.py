@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import asdict, dataclass
 
 from .f2linalg import (
     CohomologyResult,
@@ -59,6 +58,7 @@ from .f2linalg import (
 )
 from .grading import CobarMonomial, RO2Degree, element_label
 from .hopf import TruncationLevel, check_level, coaction_letters, comult_reduced, letter_cap
+from .records import Record
 
 # Largest basis of one slice, cobar or Koszul; SlicesBase.words enforces it.
 MAX_SLICE_DIM = 200_000
@@ -303,8 +303,7 @@ def differential(s: int, d: RO2Degree, n: TruncationLevel,
     return get_complex(d, n, invert_u).matrix(s)
 
 
-@dataclass(frozen=True)
-class ExtResult:
+class ExtResult(Record):
     """Cohomology of one slice.
 
     `words` is the slice's word basis in the canonical order that `basis`
@@ -317,6 +316,7 @@ class ExtResult:
     dim: int
     rep_vectors: tuple[int, ...]
     words: tuple[tuple[int, ...], ...]
+    __slots__ = tuple(__annotations__)
 
     def rep_monomials(self, v: int) -> list[CobarMonomial]:
         return [_monomial(self.words[j], self.degree) for j in bits(v)]
@@ -361,8 +361,7 @@ def _map_vector(index_map: list[int | None], v: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(Record):
     s: int
     degree: RO2Degree
     levels: tuple[int, ...]
@@ -372,6 +371,7 @@ class LimitReport:
     rule: str
     stabilized: bool
     limit_dim: int | None
+    __slots__ = (*__annotations__, "__dict__")  # basis_labels caches in __dict__
 
     @functools.cached_property
     def basis_labels(self) -> tuple[str, ...]:
@@ -501,8 +501,7 @@ def a_multiplication_rank(s: int, d: RO2Degree, n: TruncationLevel,
     return _image_in_lower(src, tgt, s)[0]
 
 
-@dataclass(frozen=True)
-class LocalizationEntry:
+class LocalizationEntry(Record):
     n: int
     s: int
     p: int
@@ -510,6 +509,7 @@ class LocalizationEntry:
     inverted_dim: int
     shifts: tuple[int, int]
     shifted_dims: tuple[int, int]
+    __slots__ = tuple(__annotations__)
 
     @property
     def ok(self) -> bool:
@@ -521,15 +521,15 @@ class LocalizationEntry:
                 f"t={list(self.shifts)}")
 
     def failure_dict(self) -> dict:
-        return asdict(self)
+        return self.as_dict()
 
 
-@dataclass(frozen=True)
-class EntriesReport:
+class EntriesReport(Record):
     """Verdicts on the tridegrees of a window.  Each entry supplies `ok`,
     `fail_line()` and `failure_dict()`; only failures are listed.  A window
     of no tridegree is not ok."""
     entries: tuple
+    __slots__ = tuple(__annotations__)
 
     @property
     def ok(self) -> bool:

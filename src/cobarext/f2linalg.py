@@ -9,7 +9,7 @@ pivot row.  `row_bits` is a derived view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Record, set_field
 
 
 class CompositionNonzeroError(Exception):
@@ -52,18 +52,21 @@ def _transposed(vectors, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+class F2Matrix(Record):
     rows: int
     cols: int
     col_bits: tuple[int, ...]
+    __slots__ = tuple(__annotations__)
 
-    def __post_init__(self):
-        if len(self.col_bits) != self.cols:
+    def __init__(self, rows: int, cols: int, col_bits: tuple[int, ...]):
+        if len(col_bits) != cols:
             raise ValueError("column count mismatch")
-        for c in self.col_bits:
-            if c < 0 or c >> self.rows:
-                raise ValueError("column has bits outside the row range")
+        # every column lies in 0 .. 2^rows - 1 iff the least and the largest do
+        if col_bits and (min(col_bits) < 0 or max(col_bits) >> rows):
+            raise ValueError("column has bits outside the row range")
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "col_bits", col_bits)
 
     @classmethod
     def from_rows(cls, rows: int, cols: int, row_bits) -> F2Matrix:
@@ -151,10 +154,10 @@ def column_echelon(m: F2Matrix) -> tuple[dict[int, int], list[int]]:
     return image, kernel
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(Record):
     dim: int
     representatives: tuple[int, ...]
+    __slots__ = tuple(__annotations__)
 
 
 def cohomology_dim(d_in: F2Matrix, d_out: F2Matrix) -> CohomologyResult:

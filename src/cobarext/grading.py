@@ -12,14 +12,24 @@ which pins beta = p - E and alpha = 2E - p - q for each word weight E.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import total_ordering
 from math import comb
 
+from .records import Record, set_field
 
-@dataclass(frozen=True, order=True)
-class RO2Degree:
+
+@total_ordering
+class RO2Degree(Record):
+    """A degree p + q*sigma; degrees order as the pairs (p, q)."""
+
     p: int
     q: int
+    __slots__ = tuple(__annotations__)
+
+    def __lt__(self, other):
+        if other.__class__ is not RO2Degree:
+            return NotImplemented
+        return (self.p, self.q) < (other.p, other.q)
 
     def __add__(self, other: RO2Degree) -> RO2Degree:
         return RO2Degree(self.p + other.p, self.q + other.q)
@@ -69,18 +79,21 @@ def word_label(word: tuple[int, ...]) -> str:
     return "[" + "|".join(power_label("x", e) for e in word) + "]"
 
 
-@dataclass(frozen=True)
-class CobarMonomial:
+class CobarMonomial(Record):
     alpha: int
     beta: int
     word: tuple[int, ...]
+    __slots__ = tuple(__annotations__)
 
-    def __post_init__(self):
+    def __init__(self, alpha: int, beta: int, word: tuple[int, ...]):
         # beta may be negative (u inverted); that is the module's business
-        if self.alpha < 0:
+        if alpha < 0:
             raise ValueError("a-exponent must be nonnegative")
-        if any(e < 1 for e in self.word):
+        if min(word, default=1) < 1:
             raise ValueError("bar letters must be positive")
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "word", word)
 
     @property
     def filtration(self) -> int:

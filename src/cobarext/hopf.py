@@ -19,10 +19,10 @@ symmetric difference (everything is over F2).
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
 from itertools import product
 
 from .grading import RO2Degree, binom_mod2, power_label
+from .records import Record, set_field
 
 # Truncation levels are ints >= 1, or None for the untruncated coalgebra.
 TruncationLevel = int | None
@@ -101,16 +101,18 @@ class UnboundedCoactionError(Exception):
     """The requested expansion would have infinitely many terms."""
 
 
-@dataclass(frozen=True)
-class NegativeConeClass:
+class NegativeConeClass(Record):
     """Basis class theta/(a^i u^j) of the torsion cone, i, j >= 0."""
 
     i: int
     j: int
+    __slots__ = tuple(__annotations__)
 
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0:
+    def __init__(self, i: int, j: int):
+        if i < 0 or j < 0:
             raise ValueError("cone classes need i, j >= 0")
+        set_field(self, "i", i)
+        set_field(self, "j", j)
 
     def degree(self) -> RO2Degree:
         # theta sits in degree (-2, 2); dividing by a^i u^j raises by (j, i+j)
@@ -173,20 +175,20 @@ def positive_element_label(terms) -> str:
     return " + ".join(pieces)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
     """One law's verdict; check_axioms sets ok only when the law ran at least
     one case and found no counterexample."""
     name: str
     cases: int
     ok: bool
-    counterexample: str | None = None
+    counterexample: str | None
+    __slots__ = tuple(__annotations__)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     level: TruncationLevel
     checks: tuple[AxiomCheck, ...]
+    __slots__ = tuple(__annotations__)
 
     @property
     def ok(self) -> bool:
@@ -200,14 +202,14 @@ class AxiomReport:
         return out
 
     def to_dict(self) -> dict:
-        return {"n": self.level, "checks": [asdict(c) for c in self.checks]}
+        return {"n": self.level, "checks": [c.as_dict() for c in self.checks]}
 
 
-@dataclass(frozen=True)
-class AxiomSuiteReport:
+class AxiomSuiteReport(Record):
     """The axiom suite at several levels, one AxiomReport each; a suite of
     no level is not ok."""
     reports: tuple[AxiomReport, ...]
+    __slots__ = tuple(__annotations__)
 
     @property
     def ok(self) -> bool:

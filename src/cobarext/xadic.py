@@ -20,12 +20,11 @@ EinftyMonomial, so no label is ever parsed back.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from . import cobar
 from .grading import CobarMonomial, RO2Degree, power_label
 from .hopf import TruncationLevel, check_level, coaction_letters, level_str
 from .koszul import get_koszul, index_top, stable_level, y_chains
+from .records import Record, set_field
 
 
 class StageOutOfRangeError(Exception):
@@ -36,20 +35,23 @@ class NotOnPageError(Exception):
     """The monomial is not a basis element of the requested stage."""
 
 
-@dataclass(frozen=True)
-class EinftyMonomial:
+class EinftyMonomial(Record):
     """Monomial a^m u^k y_0^(i_0) y_1^(i_1) ... with trailing zeros trimmed."""
 
     m: int
     k: int
     powers: tuple[int, ...]
+    __slots__ = tuple(__annotations__)
 
-    def __post_init__(self):
-        if self.powers and self.powers[-1] == 0:
+    def __init__(self, m: int, k: int, powers: tuple[int, ...]):
+        if powers and powers[-1] == 0:
             raise ValueError("powers must have trailing zeros trimmed")
         # k may be negative in the completed (u-inverted) world
-        if self.m < 0 or any(i < 0 for i in self.powers):
+        if m < 0 or min(powers, default=0) < 0:
             raise ValueError("negative exponent")
+        set_field(self, "m", m)
+        set_field(self, "k", k)
+        set_field(self, "powers", powers)
 
     @property
     def filtration(self) -> int:
@@ -206,8 +208,7 @@ def predicted_a_rank(n: TruncationLevel, s: int, d: RO2Degree) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class CoboundaryCheck:
+class CoboundaryCheck(Record):
     """One case of the coboundary lemma; fields are labels, named as in JSON."""
     r: int
     m: int
@@ -217,6 +218,7 @@ class CoboundaryCheck:
     expected: str
     kept: tuple[str, ...]
     discarded: tuple[str, ...]
+    __slots__ = tuple(__annotations__)
 
     def line(self) -> str:
         status = "pass" if self.ok else f"FAIL (kept {list(self.kept)})"
@@ -224,10 +226,10 @@ class CoboundaryCheck:
                 f"{self.expected} below the letter cutoff: {status}")
 
 
-@dataclass(frozen=True)
-class CoboundaryReport:
+class CoboundaryReport(Record):
     """Coboundary lemma cases; a report of no case is not ok."""
     checks: tuple[CoboundaryCheck, ...]
+    __slots__ = tuple(__annotations__)
 
     @property
     def ok(self) -> bool:
@@ -237,7 +239,7 @@ class CoboundaryReport:
         return [c.line() for c in self.checks]
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
+        return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
 
 
 def verify_coboundary(r: int, m: int, n: int) -> CoboundaryCheck:
@@ -272,8 +274,7 @@ def verify_coboundaries(cases) -> CoboundaryReport:
     return CoboundaryReport(tuple(verify_coboundary(r, m, n) for r, m, n in cases))
 
 
-@dataclass(frozen=True)
-class VanishingEntry:
+class VanishingEntry(Record):
     p: int
     q: int
     s: int
@@ -284,6 +285,7 @@ class VanishingEntry:
     levels: tuple[int, ...]
     rule: str
     stabilized: bool
+    __slots__ = tuple(__annotations__)
 
     @property
     def ok(self) -> bool:
@@ -344,18 +346,17 @@ def verify_vanishing(p_range: tuple[int, int] = (-8, 8),
     return cobar.EntriesReport(tuple(entries))
 
 
-@dataclass(frozen=True)
-class EinftyMismatch:
+class EinftyMismatch(Record):
     n: TruncationLevel
     s: int
     p: int
     q: int
     ext: int
     closed_form: int
+    __slots__ = tuple(__annotations__)
 
 
-@dataclass(frozen=True)
-class EinftyReport:
+class EinftyReport(Record):
     """Closed form against Koszul dims (u not inverted); a report of no
     tridegree is not ok."""
     n: TruncationLevel
@@ -363,6 +364,7 @@ class EinftyReport:
     s_max: int
     checked: int
     mismatches: tuple[EinftyMismatch, ...]
+    __slots__ = tuple(__annotations__)
 
     @property
     def ok(self) -> bool:

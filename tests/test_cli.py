@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -9,6 +8,7 @@ import sys
 import pytest
 
 from cobarext import cli, cobar, hopf, xadic
+from helpers import replace
 
 BASE = [sys.executable, "-m", "cobarext"]
 
@@ -143,14 +143,43 @@ def test_pool_starts_at_most_one_worker_per_item_and_cpu(monkeypatch, capsys):
     assert capsys.readouterr().out == serial
 
 
-def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # the pool and multiprocessing load only when pool_map fans out
+def test_importing_the_cli_leaves_lazy_modules_unloaded():
+    # start-up cost that every command pays: the pool and multiprocessing
+    # load only when pool_map fans out, json only when a document is
+    # written, and the records need neither dataclasses nor inspect
+    lazy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "json")
     r = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cobarext.cli; print('concurrent.futures' in sys.modules)"],
+         f"import sys, cobarext.cli; print([m for m in {lazy!r} if m in sys.modules])"],
         capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "False\n"
+    assert r.stdout == "[]\n"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# (argv, owner, name): a command and a function on its path that is made to
+# raise MemoryError; no test allocates real memory
+OUT_OF_MEMORY = [
+    (("chart", "--stems", "0..47", "--smax", "20", "--jobs", "1"), "charts",
+     "integer_stem_chart"),
+    (("ext-table", "--n", "3", "--s", "0..0", "--p", "0..0", "--q", "0..0",
+      "--invert-u", "--jobs", "1"), "cobar", "ext_dim"),
+    (("verify", "einfty", "--n", "3", "--jobs", "1"), "xadic", "verify_einfty"),
+]
+
+
+@pytest.mark.parametrize("argv,owner,name", OUT_OF_MEMORY,
+                         ids=[" ".join(case[0][:2]) for case in OUT_OF_MEMORY])
+def test_out_of_memory_exits_2_with_one_error_line(monkeypatch, capsys, argv, owner, name):
+    monkeypatch.setattr(getattr(cli, owner), name, _out_of_memory)
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    command = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+    assert out == ""
+    assert err == f"error: {command} ran out of memory; try a smaller window\n"
 
 
 JOBS_COMMANDS = [
@@ -423,14 +452,14 @@ def _on_result(corrupt):
 
 
 def _fail_first_entry(**changes):
-    return _on_result(lambda rep: dataclasses.replace(
-        rep, entries=(dataclasses.replace(rep.entries[0], **changes),) + rep.entries[1:]))
+    return _on_result(lambda rep: replace(
+        rep, entries=(replace(rep.entries[0], **changes),) + rep.entries[1:]))
 
 
 def _fail_coboundary(real):
     def check(r, m, n):
         c = real(r, m, n)
-        return dataclasses.replace(c, ok=False) if (r, m, n) == (1, 0, 2) else c
+        return replace(c, ok=False) if (r, m, n) == (1, 0, 2) else c
     return check
 
 
@@ -446,7 +475,7 @@ FAILING = [
      "b57ae3e11c5f34253482886c3f131b1b8cb2537b37ac38b38dfb166c00f4255f"),
     (('verify', 'einfty', '--n', 'inf', '--window', '2', '--smax', '2', '--jobs', '1'),
      xadic, "verify_einfty",
-     _on_result(lambda rep: dataclasses.replace(
+     _on_result(lambda rep: replace(
          rep, mismatches=(xadic.EinftyMismatch(rep.n, 1, 1, 1, 2, 1),))),
      "f09e90320842b84e69a33e23340b7ef8ae6c1b27daad7053bba5d821929803da"),
     (('verify', 'vanishing', '--p', '-1..1', '--budget', '-2..-1', '--smax', '1'),
@@ -456,7 +485,7 @@ FAILING = [
      cobar, "verify_localization", _fail_first_entry(shifted_dims=(0, 1)),
      "4d2b298f32fddae98bc8f0bfd24edcf96f44c08de6cdf621c6c3a65270ffcc54"),
     (('limit-ext', '--s', '1', '--p', '1', '--q', '1'), cobar, "limit_ext_report",
-     _on_result(lambda rep: dataclasses.replace(rep, stabilized=False, limit_dim=None)),
+     _on_result(lambda rep: replace(rep, stabilized=False, limit_dim=None)),
      "2679eaa0e92720ee71f69ad037999726265c178a52822dad3a3842a77c0b8e14"),
 ]
 

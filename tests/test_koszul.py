@@ -2,13 +2,12 @@
 reports, and the Koszul slice guard; towers from the stable level against
 the level-free weight quotient."""
 
-import dataclasses
-
 import pytest
 
 from cobarext import cobar, koszul, xadic
 from cobarext.f2linalg import bits
 from cobarext.grading import RO2Degree
+from helpers import replace
 
 
 def test_koszul_chains_and_differential_examples():
@@ -85,7 +84,7 @@ def test_labels_need_the_cobar_slice_within_the_guard(slice_cap):
 def test_labels_cross_check_the_certified_dim():
     report = cobar.limit_ext_report(1, RO2Degree(1, 1), (1, 2, 3))
     with pytest.raises(AssertionError, match="differs from the certified limit"):
-        dataclasses.replace(report, limit_dim=2).basis_labels
+        replace(report, limit_dim=2).basis_labels
 
 
 def test_koszul_dims_match_cobar_ext():
