@@ -58,25 +58,23 @@ def _dot(mono: EinftyMonomial) -> ChartDot:
     return ChartDot(d.p - mono.filtration, mono.filtration, d.q, mono.label(), mono)
 
 
-def stem_dots(stem: int, s_max: int) -> list[ChartDot]:
-    """Dots of one integer stem column of the uncompleted limit page."""
-    return [
-        _dot(mono)
-        for s in range(s_max + 1)
-        for mono in xadic.einfty_basis(None, s, RO2Degree(stem + s, 0))
-    ]
+def _filtration_dots(s: int, stems: tuple[int, int]) -> list[ChartDot]:
+    """Dots of one filtration row of the uncompleted limit page over the
+    stems, from one listing of its closed-form pages."""
+    pages = xadic._pages(None, None, s, (stems[0] + s, stems[1] + s), (0, 0))
+    return [_dot(mono) for monos in pages.values() for mono in monos]
 
 
 def integer_stem_chart(stem_max: int, s_max: int, stem_min: int = 0,
                        map_fn=map) -> list[ChartDot]:
     """Dots of the uncompleted limit page in integer stems (sigma-part 0).
 
-    map_fn(fn, stems) must return the columns in stem order; a process
-    pool's ordered map fits, since the column function pickles.
+    map_fn(fn, filtrations) must return the rows in filtration order; a
+    process pool's ordered map fits, since the row function pickles.
     """
-    columns = map_fn(functools.partial(stem_dots, s_max=s_max),
-                     range(stem_min, stem_max + 1))
-    return sorted((dot for col in columns for dot in col), key=ChartDot.sort_key)
+    rows = map_fn(functools.partial(_filtration_dots, stems=(stem_min, stem_max)),
+                  range(s_max + 1))
+    return sorted((dot for row in rows for dot in row), key=ChartDot.sort_key)
 
 
 def slice_chart(q_slice: int, stems: tuple[int, int], s_max: int) -> list[ChartDot]:

@@ -11,9 +11,11 @@ dims against the Koszul complex (u not inverted, finite levels and inf;
 the tests check those dims against cobar), and the completed vanishing
 range against Koszul level towers whose labels come from cobar.  Every
 page comes from one enumerator, _window_monomials, which walks the
-y-chains of koszul.y_chains once for a whole window of degrees: one-degree
-pages, completed names and charts ask for a window of one degree, and
-verify_einfty for each filtration's full window.  The
+y-chains of koszul.y_chains once for a whole window of degrees, and one
+rule, _pages, states the stage-t and final pages over a window: one-degree
+pages and completed names ask for a window of one degree, the integer-stem
+chart for one filtration's window of stems, and verify_einfty for each
+filtration's full window.  The
 monomials are the names charts draw: each chart dot carries its
 EinftyMonomial, so no label is ever parsed back.
 """
@@ -119,6 +121,8 @@ def _window_monomials(r_top: int, s: int, p_span: tuple[int, int],
     is a^(2w-p-q) u^(p-w) y_I in each degree (p, q) where both exponents
     are in range.
     """
+    if s < 0:
+        raise ValueError(f"no page at negative filtration s={s}")
     (p_lo, p_hi), (q_lo, q_hi) = p_span, q_span
     pages = {(p, q): [] for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)}
     # the a-exponent m = 2 * weight - p - q is >= 0 somewhere in the window
@@ -135,23 +139,20 @@ def _window_monomials(r_top: int, s: int, p_span: tuple[int, int],
     return pages
 
 
-def _y_monomials(r_top: int, s: int, d: RO2Degree, condition,
-                 k_min: int | None = None) -> list[EinftyMonomial]:
-    """_window_monomials over the window of the one degree d."""
-    return _window_monomials(r_top, s, (d.p, d.p), (d.q, d.q), condition, k_min)[d.p, d.q]
-
-
-def _page(n: TruncationLevel, t: int | None, s: int, d: RO2Degree) -> list[EinftyMonomial]:
-    """Basis of the stage-t page (t = None: the final page) at level n in
-    filtration s and degree d, u-exponent >= 0."""
-    return _y_monomials(index_top(n, False, d.p), s, d,
-                        lambda mono: mono.admissible(n, t), k_min=0)
+def _pages(n: TruncationLevel, t: int | None, s: int, p_span: tuple[int, int],
+           q_span: tuple[int, int]) -> dict[tuple[int, int], list[EinftyMonomial]]:
+    """Bases of the stage-t pages (t = None: the final page) at level n in
+    filtration s, u-exponent >= 0, for every degree of the window.  The
+    index bound of the top p serves every p: k >= 0 drops the chains with
+    2^r > p."""
+    return _window_monomials(index_top(n, False, p_span[1]), s, p_span, q_span,
+                             lambda mono: mono.admissible(n, t), k_min=0)
 
 
 def einfty_basis(n: TruncationLevel, s: int, d: RO2Degree) -> list[EinftyMonomial]:
     """Admissible limit-page monomials of filtration s and degree d."""
     check_level(n)
-    return _page(n, None, s, d)
+    return _pages(n, None, s, (d.p, d.p), (d.q, d.q))[d.p, d.q]
 
 
 def completed_basis(s: int, d: RO2Degree) -> list[EinftyMonomial]:
@@ -162,13 +163,14 @@ def completed_basis(s: int, d: RO2Degree) -> list[EinftyMonomial]:
     m = 2*weight - (p+q) <= 2^(j+1) - 1, j the least index, forces
     2^(r+1) <= p + q - 1, so 2^r < e = ceil((p+q)/2), for every index r.
     """
-    return _y_monomials(stable_level(s, d), s, d, lambda mono: mono.admissible(None))
+    return _window_monomials(stable_level(s, d), s, (d.p, d.p), (d.q, d.q),
+                             lambda mono: mono.admissible(None))[d.p, d.q]
 
 
 def xadic_stage(n: TruncationLevel, t: int, s: int, d: RO2Degree) -> list[EinftyMonomial]:
     """Basis of the stage-t page in filtration s and degree d."""
     _check_stage(n, t)
-    return _page(n, t, s, d)
+    return _pages(n, t, s, (d.p, d.p), (d.q, d.q))[d.p, d.q]
 
 
 def xadic_differential(n: TruncationLevel, t: int, mono: EinftyMonomial) -> frozenset[EinftyMonomial]:
@@ -246,6 +248,8 @@ def verify_coboundary(r: int, m: int, n: int) -> CoboundaryCheck:
     """Check d(u^(2^r (2m+1))) = u^(2^(r+1) m) a^(2^(r+1)) [x^(2^r)] up to
     terms whose bar letter exceeds 2^r, on the letters of the reduced
     coaction of that u-power at level n (hopf.coaction_letters)."""
+    if r < 0:
+        raise ValueError(f"need r >= 0 for the letter x^(2^r), got r={r}")
     if n <= r:
         raise ValueError(f"need n > r so x^(2^{r}) is a legal letter")
     big_n = 2**r * (2 * m + 1)
@@ -383,13 +387,10 @@ class EinftyReport(Record):
 
 def _einfty_slice(args):
     """The rows (s, p, q, Koszul dim, closed-form count) of filtration s over
-    the window, in (p, q) order, from one listing of its closed-form pages.
-    The index bound of the top p serves every p: k >= 0 drops the chains
-    with 2^r > p."""
+    the window, in (p, q) order, from one listing of its closed-form pages."""
     n, s, window = args
     span = (-window, window)
-    pages = _window_monomials(index_top(n, False, window), s, span, span,
-                              lambda mono: mono.admissible(n), k_min=0)
+    pages = _pages(n, None, s, span, span)
     return [(s, p, q, get_koszul(RO2Degree(p, q), n, False).cohomology(s).dim, len(monos))
             for (p, q), monos in pages.items()]
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cobarext import charts, cobar, koszul
+from cobarext import charts, cobar, koszul, xadic
 from cobarext.charts import ChartDot
 from cobarext.grading import RO2Degree
 
@@ -23,8 +23,22 @@ def test_integer_stem_anchors():
     assert by_cell[(2, 2)] == ["u^2 y_0^2"]
     # a stem window, fed through any ordered map, is a slice of the chart
     window = charts.integer_stem_chart(
-        2, 3, 1, map_fn=lambda fn, stems: [fn(t) for t in reversed(stems)][::-1])
+        2, 3, 1, map_fn=lambda fn, filts: [fn(s) for s in reversed(filts)][::-1])
     assert window == [d for d in charts.integer_stem_chart(2, 3) if d.stem >= 1]
+
+
+@pytest.mark.parametrize("stem_max,s_max,stem_min",
+                         [(7, 8, 0), (7, 6, -2), (5, 5, -9), (3, 0, 0), (12, 9, 5),
+                          (-1, 4, -6), (4, 0, 2)])
+def test_integer_stem_chart_matches_the_one_degree_pages(stem_max, s_max, stem_min):
+    # each filtration row is listed over its window of stems at once; the
+    # one-degree closed-form pages, cell by cell, are the oracle
+    want = sorted((charts._dot(mono)
+                   for stem in range(stem_min, stem_max + 1)
+                   for s in range(s_max + 1)
+                   for mono in xadic.einfty_basis(None, s, RO2Degree(stem + s, 0))),
+                  key=ChartDot.sort_key)
+    assert charts.integer_stem_chart(stem_max, s_max, stem_min) == want
 
 
 def test_dot_labels_roundtrip():

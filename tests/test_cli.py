@@ -99,6 +99,14 @@ def test_verify_coboundary_single_and_sweep():
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("argv", [("--n", "2"), ()], ids=["with n", "default n"])
+def test_verify_coboundary_negative_r_is_usage_error(capsys, argv):
+    assert cli.main(["verify", "coboundary", "--r", "-1", "--m", "0", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: need r >= 0 for the letter x^(2^r), got r=-1\n"
+
+
 def test_verify_einfty_deterministic_across_jobs():
     outs = []
     for jobs in ("1", "2", "1"):
@@ -139,7 +147,8 @@ def test_pool_starts_at_most_one_worker_per_item_and_cpu(monkeypatch, capsys):
     assert cli.main(argv + ["--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     assert cli.main(argv + ["--jobs", "5000"]) == 0
-    assert sizes == [3, 4, 2, 4]
+    # one work item per filtration: three of them at --smax 2
+    assert sizes == [3, 4, 2, 3]
     assert capsys.readouterr().out == serial
 
 
@@ -320,6 +329,7 @@ def test_bad_range_is_usage_error():
 NEGATIVE_FILTRATION = [
     ("ext", "--n", "2", "--s", "-1", "--p", "0", "--q", "0"),
     ("limit-ext", "--s", "-1", "--p", "0", "--q", "0"),
+    ("xadic", "--n", "2", "--t", "0", "--s", "-1", "--p", "0", "--q", "0"),
 ]
 
 
@@ -401,6 +411,8 @@ PINNED_STDOUT = [
      "ede5db3a9df723731fc3f211572d322b9ed2ebfc1ca19ea52a830fd2967fac1d"),
     (('chart', '--stems', '0..7', '--smax', '8', '--conjectural-d2', '--format', 'svg', '--jobs', '1'),
      "346b5e225fb9fbf5bc892fe623c6e9d4f7b2112e876bd629cee7c0b662ee0606"),
+    (('chart', '--stems', '0..31', '--smax', '16', '--jobs', '2'),
+     "0392f4a99c0964883e922c25bf0523285eea787eff31637ea2acf759ea59f88e"),
     (('chart', '--sigma', '2', '--stems', '0..1', '--smax', '3'),
      "bca461420332a4282e89adbd503fc8581c293b626a94ca7c2c14f5d1fbea9911"),
     (('limit-ext', '--s', '1', '--p', '1', '--q', '1'),

@@ -175,6 +175,7 @@ def test_towers_from_the_stable_level_match_the_weight_quotient():
 def test_completed_names_use_indices_below_the_stable_level():
     for s, d in STABLE_CELLS:
         n = koszul.stable_level(s, d)
-        wide = xadic._y_monomials(n + 2, s, d, lambda m: m.admissible(None))
+        wide = xadic._window_monomials(n + 2, s, (d.p, d.p), (d.q, d.q),
+                                       lambda m: m.admissible(None))[d.p, d.q]
         assert all(len(m.powers) <= n for m in wide), (s, d)
         assert xadic.completed_basis(s, d) == wide

@@ -110,6 +110,9 @@ def test_coboundary_examples():
     assert c.ok and c.expected == "a^8 [x^4]"
     with pytest.raises(ValueError):
         xadic.verify_coboundary(2, 0, 2)
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="r=-1"):
+            xadic.verify_coboundary(-1, 0, n)
 
 
 def test_coboundary_sweep():
@@ -195,8 +198,17 @@ def test_window_lists_equal_the_one_degree_lists(k_min):
             assert len(window) == 25 * 25
             for (p, q), monos in window.items():
                 r_top = koszul.index_top(n, False, p) if k_min == 0 else top
-                assert monos == xadic._y_monomials(
-                    r_top, s, RO2Degree(p, q), admissible, k_min), (n, s, p, q)
+                assert monos == xadic._window_monomials(
+                    r_top, s, (p, p), (q, q), admissible, k_min)[p, q], (n, s, p, q)
+
+
+def test_closed_form_pages_refuse_a_negative_filtration():
+    d = RO2Degree(0, 0)
+    for page in (lambda: xadic.einfty_basis(2, -1, d),
+                 lambda: xadic.xadic_stage(2, 0, -1, d),
+                 lambda: xadic.completed_basis(-1, d)):
+        with pytest.raises(ValueError, match=r"no page at negative filtration s=-1"):
+            page()
 
 
 def test_predicted_a_rank_matches_cobar():
