@@ -17,8 +17,9 @@ memoises, per s, its chain table, its differential matrix (stored by
 columns, see f2linalg), its cohomology, and the images of its cohomology in
 lower complexes of its model, keyed by the lower complex's cache key and s.
 No memo holds a lower complex.  A model declares three things: the hooks
-`_chains`, `_targets` and `_legal`; `_chain_key(s)`, the inputs `_chains(s)`
-reads; and `_coeff_key()`, what `_targets` reads beyond the chain.  The base
+`_chains` (or `_new_table`, as cobar does), `_targets` and `_legal`;
+`_chain_key(s)`, the inputs that list slice s; and `_coeff_key()`, what
+`_targets` reads beyond the chain.  The base
 assembles every matrix and `_truncation_map` restricts every model to a
 lower level.  Both models share one key, slice_key.
 Cobar is the reference: `ext`, `ext-table` and every label come from it.
@@ -32,10 +33,20 @@ complex of one model with the same `_chain_key(s)` through the weak registry
 _TABLES, so it lives exactly as long as some complex holds it.  A cobar
 slice's words depend only on s, the letter cap and the weight band lo..hi:
 at level 2 with u inverted, the four complexes of one E-cut (p mod 4 =
-0..3) list the same words.  `_words` generates only the words in the band,
-by trying in each slot only the letters from which the band can still be
-reached.  The table of slice s also holds the differential out of it, keyed
-by the next table's key and `_coeff_key()`, and its cohomology, keyed by the
+0..3) list the same words.  A slice over MAX_SLICE_DIM is refused from a
+closed-form count (`_check_band`) before any of its words is built.  The
+words of one length s >= 2, letter cap and weight form a weight block
+(`_WeightBlock`), listed once from the blocks one length down and shared
+through the weak registry _BLOCKS by every table whose band holds that
+weight; a table holds its blocks, so a block lives exactly as long as some
+table holds it, and a band is the sorted union of its blocks, so tables of
+different bands share the word tuples.  The split part of d on a word, the
+reduced comultiplication of each letter, reads neither p, the band nor the
+level, so a block builds it once per word, with its first differential, as
+the word objects of the block one length up; only the coaction part is
+built per complex.  Slices 0 and 1, one word per weight, have no blocks.
+The table of slice s also holds the differential out of it, keyed by the
+next table's key and `_coeff_key()`, and its cohomology, keyed by the
 previous table's key (0 at s = 0), the next one's and `_coeff_key()`; a
 complex's own memos hold these shared objects.  A cobar differential reads
 p only through the coaction of u^beta, which at a finite level sees beta
@@ -47,6 +58,8 @@ from __future__ import annotations
 
 import functools
 import weakref
+from itertools import islice
+from math import comb
 
 from .f2linalg import (
     CohomologyResult,
@@ -60,7 +73,7 @@ from .grading import CobarMonomial, RO2Degree, element_label
 from .hopf import TruncationLevel, check_level, coaction_letters, comult_reduced, letter_cap
 from .records import Record
 
-# Largest basis of one slice, cobar or Koszul; SlicesBase.words enforces it.
+# Largest basis of one slice, cobar or Koszul; _check_size enforces it.
 MAX_SLICE_DIM = 200_000
 
 
@@ -76,26 +89,102 @@ def ceil_half(v: int) -> int:
     return -((-v) // 2)
 
 
-def _words(s: int, cap: int, lo: int, hi: int):
-    """All words of length s with letters in 1..cap and weight in lo..hi, lex
-    order.  A slot tries only the letters from which the slots after it can
-    still reach the band, so every word generated is kept."""
-    if s == 0:
-        if lo <= 0 <= hi:
-            yield ()
+def _check_size(s: int, size: int) -> None:
+    if size > MAX_SLICE_DIM:
+        raise ComplexTooLargeError(f"slice s={s} exceeds {MAX_SLICE_DIM} monomials")
+
+
+def _check_band(s: int, cap: int, lo: int, hi: int) -> None:
+    """Refuse a band of more than MAX_SLICE_DIM words before any is built.
+
+    The words weigh s to s*cap, and e -> cap + 1 - e takes weight w to
+    s*(cap + 1) - w, so the band is first mirrored to lie nearer s.  Its
+    deepest weight s + t then holds at least C(s, j) words for each j up to
+    min(t, s/2) (j letters 2, the rest 1; the counts rise to the middle
+    weight), which refuses a deep band after a few factors.  Otherwise t or
+    s is small and the count is exact: the words with letters >= 1 and
+    weight at most m number C(m, s), and inclusion-exclusion over the k
+    letters past cap, each lowered by cap, leaves those in 1..cap."""
+    lo, hi = max(lo, s), min(hi, s * cap)
+    if lo > hi:
         return
-    word = [0] * s
+    if hi - s > s * cap - lo:
+        lo, hi = s * (cap + 1) - hi, s * (cap + 1) - lo
+    least = 1
+    for j in range(1, min(hi - s, s * (cap - 1) // 2, s // 2) + 1):
+        least = least * (s - j + 1) // j
+        _check_size(s, least)
 
-    def rec(pos: int, need: int, left: int):
-        rest = s - pos - 1  # each later slot holds 1..cap
-        for e in range(max(1, need - rest * cap), min(cap, left - rest) + 1):
-            word[pos] = e
-            if rest == 0:
-                yield tuple(word)
-            else:
-                yield from rec(pos + 1, need - e, left - e)
+    def upto(m: int) -> int:
+        return comb(m, s) if m >= 0 else 0
 
-    yield from rec(0, lo, hi)
+    _check_size(s, sum((-1) ** k * comb(s, k) * (upto(hi - k * cap) - upto(lo - 1 - k * cap))
+                       for k in range(min(s, (hi - s) // cap) + 1)))
+
+
+def _splits(word: tuple[int, ...]):
+    """The words that the reduced comultiplication of each letter splits word
+    into, slot by slot.  A legal letter splits alike at every level."""
+    return (word[:slot] + (i1, i2) + word[slot + 1:]
+            for slot, e in enumerate(word)
+            for i1, i2 in comult_reduced(e, None))
+
+
+class _WeightBlock:
+    """The words of one length s, letter cap and weight w in lex order, and,
+    built with the first differential out of them, the split part of d on
+    each.  The chain tables whose bands hold w share the block through
+    _BLOCKS, and it is freed with the last of them."""
+
+    __slots__ = ("key", "words", "_splits", "__weakref__")
+
+    def __init__(self, key: tuple[int, int, int], words: tuple[tuple[int, ...], ...]):
+        self.key = key
+        self.words = words
+        self._splits: dict | None = None
+
+    def splits(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """word -> `_splits(word)`, its targets the word objects of the block
+        one length up, so that they take no memory of their own."""
+        if self._splits is None:
+            s, cap, w = self.key
+            up = _block(s + 1, cap, w, [])
+            same = dict(zip(up.words, up.words)).__getitem__
+            self._splits = {word: tuple(map(same, _splits(word))) for word in self.words}
+        return self._splits
+
+
+# (s, cap, w) -> block, cap cut to the largest letter that the block's words
+# can hold, so that untruncated bands of different p share their blocks
+_BLOCKS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _block(s: int, cap: int, w: int, held: list) -> _WeightBlock:
+    """The block of the words of length s, letters in 1..cap and weight w:
+    (e,) + t for ascending e over the words t of weight w - e, where the
+    s - 1 letters of t hold w - e.  Each block reached goes on held, which
+    keeps it alive while a band is listed."""
+    cap = min(cap, w - s + 1) if s else 0
+    key = s, cap, w
+    got = _BLOCKS.get(key)
+    if got is None:
+        if s == 0:
+            words = ((),) if w == 0 else ()
+        else:
+            words = tuple((e,) + t for e in range(max(1, w - (s - 1) * cap), cap + 1)
+                          for t in _block(s - 1, cap, w - e, held).words)
+        got = _BLOCKS[key] = _WeightBlock(key, words)
+    held.append(got)
+    return got
+
+
+def _band_blocks(s: int, cap: int, lo: int, hi: int) -> tuple[_WeightBlock, ...]:
+    """The nonempty blocks of length s, letters in 1..cap and weight in
+    lo..hi, by weight; refused from counts over MAX_SLICE_DIM words."""
+    _check_band(s, cap, lo, hi)
+    held: list[_WeightBlock] = []
+    return tuple(_block(s, cap, w, held)
+                 for w in range(max(lo, s), min(hi, s * cap) + 1))
 
 
 def _check_key(n: TruncationLevel, invert_u: bool) -> None:
@@ -110,14 +199,18 @@ class ChainTable:
     """The chain list of one slice in canonical order and its index, shared
     through _TABLES by every complex of a model with the same chain key, and
     the differentials and cohomology assembled on it, which complexes with
-    equal neighbouring tables and equal `_coeff_key()` share."""
+    equal neighbouring tables and equal `_coeff_key()` share.  A cobar table
+    also holds the weight blocks of its words, by weight."""
 
-    __slots__ = ("key", "words", "index", "matrices", "cohomology", "__weakref__")
+    __slots__ = ("key", "words", "index", "blocks", "matrices", "cohomology",
+                 "__weakref__")
 
-    def __init__(self, key: tuple, words: tuple[tuple[int, ...], ...]):
+    def __init__(self, key: tuple, words: tuple[tuple[int, ...], ...],
+                 blocks: dict[int, _WeightBlock] | None = None):
         self.key = key
         self.words = words
-        self.index = {w: i for i, w in enumerate(words)}
+        self.index = dict(zip(words, range(len(words))))
+        self.blocks = blocks
         # (next slice's table key, coeff key) -> d out of this slice
         self.matrices: dict[tuple, F2Matrix] = {}
         # (previous slice's table key or 0, next slice's, coeff key) -> H here
@@ -131,7 +224,8 @@ _TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class SlicesBase:
     """The memos and the assembly of one slice complex, built from its
     slice_key.  A model supplies `_chains(s)` (the basis of slice s in
-    canonical order), `_targets(chain)` (the chains of slice s+1 in
+    canonical order; or overrides `_new_table(key, s)`, which lists it
+    under the size guard), `_targets(chain)` (the chains of slice s+1 in
     d(chain), repeats cancelling) and `_legal(chain)` (every letter exists
     at this complex's level, which `_truncation_map` asks of the lower
     complex).  It may narrow `_chain_key(s)` to the inputs `_chains(s)`
@@ -163,15 +257,14 @@ class SlicesBase:
             key = (type(self), self._chain_key(s))
             got = _TABLES.get(key)
             if got is None:
-                out = []
-                for w in self._chains(s):
-                    out.append(w)
-                    if len(out) > MAX_SLICE_DIM:
-                        raise ComplexTooLargeError(
-                            f"slice s={s} exceeds {MAX_SLICE_DIM} monomials")
-                got = _TABLES[key] = ChainTable(key, tuple(out))
+                got = _TABLES[key] = self._new_table(key, s)
             self._words[s] = got
         return got.words
+
+    def _new_table(self, key: tuple, s: int) -> ChainTable:
+        out = tuple(islice(self._chains(s), MAX_SLICE_DIM + 1))
+        _check_size(s, len(out))
+        return ChainTable(key, out)
 
     def _table(self, s: int) -> ChainTable:
         self.words(s)
@@ -190,14 +283,15 @@ class SlicesBase:
         got = src.matrices.get(key)
         if got is None:
             cols = []
+            row = tgt.index.__getitem__
             for chain in src.words:
                 col = 0
-                for target in self._targets(chain):
-                    try:
-                        col ^= 1 << tgt.index[target]
-                    except KeyError:
-                        raise AssertionError(
-                            f"boundary target {target} of {chain} missing") from None
+                try:
+                    for i in map(row, self._targets(chain)):
+                        col ^= 1 << i
+                except KeyError as missing:
+                    raise AssertionError(
+                        f"boundary target {missing.args[0]} of {chain} missing") from None
                 cols.append(col)
             got = src.matrices[key] = F2Matrix(len(tgt.words), len(src.words), tuple(cols))
         self._matrices[s] = got
@@ -242,19 +336,31 @@ class SliceComplex(SlicesBase):
     def _chain_key(self, s: int) -> tuple:
         return (s,) + self._band(s)
 
-    def _chains(self, s: int):
-        return _words(s, *self._band(s))
+    def _new_table(self, key: tuple, s: int) -> ChainTable:
+        cap, lo, hi = self._band(s)
+        if s > 1:
+            blocks = _band_blocks(s, cap, lo, hi)
+            words = sorted(word for block in blocks for word in block.words)
+            return ChainTable(key, tuple(words), {b.key[2]: b for b in blocks})
+        # a word of length 0 or 1 is fixed by its weight: listed without
+        # blocks, which would cost more than they share, and split when d is
+        # assembled
+        _check_band(s, cap, lo, hi)
+        return ChainTable(key, tuple((w,)[:s] for w in range(max(lo, s), min(hi, s * cap) + 1)),
+                          {})
 
     def _coeff_key(self) -> tuple:
         # coaction_letters(beta, n) reads beta mod 2^n at a finite level (Lucas)
         return self.n, self.p_key if self.n is None else self.p_key % 2**self.n
 
-    def _targets(self, word: tuple[int, ...]):
-        for i in coaction_letters(self.p_key - sum(word), self.n):
-            yield (i,) + word
-        for slot, e in enumerate(word):
-            for i1, i2 in comult_reduced(e, self.n):
-                yield word[:slot] + (i1, i2) + word[slot + 1:]
+    def _targets(self, word: tuple[int, ...]) -> list[tuple[int, ...]]:
+        # word is a chain of this complex's slice len(word), whose table
+        # holds the block of its weight from length 2 on
+        w = sum(word)
+        out = [(i,) + word for i in coaction_letters(self.p_key - w, self.n)]
+        block = self._words[len(word)].blocks.get(w)
+        out += block.splits()[word] if block else _splits(word)
+        return out
 
     def _legal(self, word: tuple[int, ...]) -> bool:
         cap = letter_cap(self.n)

@@ -107,15 +107,14 @@ class F2Matrix(Record):
 
     def apply(self, v: int) -> int:
         """Apply to a column vector packed as an int (bit j = coordinate j):
-        the sum of the columns that v picks.  The set bits are walked inline,
-        lowest first: v & -v isolates the low bit, its bit_length - 1 is the
-        column, and xor clears it."""
+        the sum of the columns that v picks.  The set bits are peeled inline,
+        highest first: bit_length - 1 is the column, and xor clears it."""
         cols = self.col_bits
         out = 0
         while v:
-            low = v & -v
-            out ^= cols[low.bit_length() - 1]
-            v ^= low
+            top = v.bit_length() - 1
+            out ^= cols[top]
+            v ^= 1 << top
         return out
 
     def rank(self) -> int:

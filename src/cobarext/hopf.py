@@ -261,8 +261,9 @@ def check_axioms(
     corrupted structures can be fed to the suite in tests.  Each structure
     map (coaction_fn, the module's coaction as the right unit, and
     eta_r_negative) is read once per argument per call and its value kept
-    until the call returns, so an injected coaction_fn must be a pure
-    function.
+    until the call returns, and a multiplicativity case (m2, m1) reuses the
+    verdict of (m1, m2) when that one passed, so an injected coaction_fn
+    must be a pure function.
     """
     check_level(n)
     cap = letter_cap(n)
@@ -309,11 +310,15 @@ def check_axioms(
         return {(a1, b1) for a1, b1, i in psi(*m, n) if i == 0} == {m}
 
     def multiplicative(level, fn):
-        # fn(m1 m2) = fn(m1) fn(m2), dropping x^i past the level's cap
+        # fn(m1 m2) = fn(m1) fn(m2), dropping x^i past the level's cap; both
+        # sides are symmetric in m1, m2, so (m2, m1) reuses (m1, m2)'s pass
         cap = letter_cap(level)
+        passed = set()
 
         def holds(pair):
             m1, m2 = pair
+            if (m2, m1) in passed:
+                return True
             second = fn(*m2, level)
             prod: set[tuple[int, int, int]] = set()
             for a1, b1, i1 in fn(*m1, level):
@@ -324,7 +329,10 @@ def check_axioms(
                             prod.remove(t)
                         else:
                             prod.add(t)
-            return set(fn(m1[0] + m2[0], m1[1] + m2[1], level)) == prod
+            ok = set(fn(m1[0] + m2[0], m1[1] + m2[1], level)) == prod
+            if ok:
+                passed.add(pair)
+            return ok
         return holds
 
     def cone_compatible(case):

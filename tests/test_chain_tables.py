@@ -71,6 +71,72 @@ def test_equal_chain_inputs_share_one_table(model):
     assert higher_cut.words(3) is not one.words(3)
 
 
+@pytest.mark.parametrize("cap", [1, 3, 7])
+def test_band_words_are_the_brute_force_band(cap, monkeypatch):
+    for s in range(6):
+        pairs = [(w, sum(w)) for w in product(range(1, cap + 1), repeat=s)]
+        top = s * cap
+        for lo in range(-1, top + 2):
+            # empty bands, lo > hi, one weight, a few weights, to the top;
+            # hi = cap is an untruncated band, whose cap is its top weight p
+            for hi in (lo - 1, lo, lo + 3, cap, top, top + 1):
+                want = [w for w, e in pairs if lo <= e <= hi]
+                blocks = cobar._band_blocks(s, cap, lo, hi)
+                got = sorted(w for block in blocks for w in block.words)
+                assert got == want, (s, lo, hi)
+                # the count is exact: a bound of the band's size passes, one
+                # below it refuses
+                monkeypatch.setattr(cobar, "MAX_SLICE_DIM", len(want))
+                cobar._check_band(s, cap, lo, hi)
+                if want:
+                    monkeypatch.setattr(cobar, "MAX_SLICE_DIM", len(want) - 1)
+                    with pytest.raises(cobar.ComplexTooLargeError):
+                        cobar._check_band(s, cap, lo, hi)
+                monkeypatch.undo()
+
+
+def test_overlapping_bands_share_their_word_tuples():
+    # at s = 3 the cuts list weights 3..9 and 5..9 of one letter cap
+    low, high = cobar.SliceComplex(2, True, 1, 3), cobar.SliceComplex(2, True, 1, 5)
+    assert low._chain_key(3) != high._chain_key(3)
+    words, index = low.words(3), low.index(3)
+    assert high.words(3) and set(high.words(3)) < set(words)
+    assert all(words[index[w]] is w for w in high.words(3))
+
+
+def test_an_oversized_cobar_slice_is_refused_from_counts(monkeypatch):
+    # 15^6 words: counted, not listed, so no weight block is built
+    built = []
+    block = cobar._block
+    monkeypatch.setattr(cobar, "_block", lambda *args: built.append(args) or block(*args))
+    with pytest.raises(cobar.ComplexTooLargeError) as refused:
+        cobar.SliceComplex(4, True, 0, 0).words(6)
+    assert str(refused.value) == "slice s=6 exceeds 200000 monomials"
+    assert built == []
+    # far past the bound, a few factors of a lower bound refuse a band whose
+    # exact count would take 33,334 terms of 40,000-digit binomials
+    with pytest.raises(cobar.ComplexTooLargeError) as refused:
+        cobar._check_band(50_000, 3, 50_000, 150_000)
+    assert str(refused.value) == "slice s=50000 exceeds 200000 monomials"
+
+
+def test_weight_blocks_and_their_split_terms_live_with_the_tables():
+    # one weight, 35, at level 5, whose cap 31 binds at s = 3 and 4, so that
+    # no table of another level or test holds these blocks
+    cx = cobar.SliceComplex(5, False, 35, 35)
+    cx.matrix(3)  # lists slices 3 and 4 and splits the words of slice 3
+    here, up = cx._table(3), cx._table(4)
+    assert here.blocks and up.blocks
+    # the split targets are the word objects of the next slice's table
+    for block in here.blocks.values():
+        for targets in block.splits().values():
+            assert all(up.words[up.index[t]] is t for t in targets)
+    blocks = [weakref.ref(b) for table in (here, up) for b in table.blocks.values()]
+    del cx, here, up, block
+    gc.collect()
+    assert all(b() is None for b in blocks)
+
+
 def test_models_do_not_share_tables():
     # the same four numbers key a cobar and a Koszul slice
     cx, kx = cobar.SliceComplex(2, True, 1, 0), koszul.KoszulComplex(2, True, 1, 0)

@@ -379,6 +379,17 @@ def test_oversized_slice_exits_2():
     assert "error: slice s=3 exceeds 200000 monomials" in r.stderr
 
 
+def test_wide_untruncated_and_long_slices_are_refused_from_counts():
+    # 100,000 one-letter words at s = 1, then about 5e9 two-letter words
+    r = run("ext", "--n", "inf", "--s", "1", "--p", "100000", "--q", "-100000", timeout=30)
+    assert r.returncode == 2
+    assert r.stderr == "error: slice s=2 exceeds 200000 monomials\n"
+    # a slice of words of length 2999 is refused before any word is built
+    r = run("ext", "--n", "2", "--s", "3000", "--p", "0", "--q", "0", "--invert-u", timeout=30)
+    assert r.returncode == 2
+    assert r.stderr == "error: slice s=2999 exceeds 200000 monomials\n"
+
+
 def test_high_cut_slice_is_refused_without_listing_the_words_below_the_cut():
     # about 11M words of length 6 at level 4 lie below the cut E >= 85, and
     # listing them took minutes before the refusal of the s = 7 slice

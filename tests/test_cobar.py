@@ -6,6 +6,7 @@ import pytest
 from cobarext import cobar, koszul
 from cobarext.f2linalg import bits
 from cobarext.grading import CobarMonomial, RO2Degree, element_label
+from cobarext.hopf import comult_reduced, letter_cap
 from cobarext.xadic import einfty_basis
 
 
@@ -273,6 +274,22 @@ def test_matrix_rejects_a_boundary_target_outside_the_next_slice(monkeypatch, cx
     monkeypatch.setattr(cobar, "_TABLES", weakref.WeakValueDictionary())
     with pytest.raises(AssertionError, match="missing"):
         cx.matrix(1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, None])
+def test_block_splits_are_the_per_slot_splits_at_every_level(n):
+    cap = letter_cap(n) or 8
+    held = []
+    for s in range(5):
+        for w in range(s, s * cap + 1):
+            block = cobar._block(s, cap, w, held)
+            splits = block.splits()
+            assert list(splits) == list(block.words)
+            for word, targets in splits.items():
+                want = [word[:slot] + (i1, i2) + word[slot + 1:]
+                        for slot, e in enumerate(word)
+                        for i1, i2 in comult_reduced(e, n)]
+                assert sorted(targets) == sorted(want), word
 
 
 def _basis_window():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cobarext import hopf
@@ -227,6 +229,16 @@ def test_axiom_suite_catches_a_level_4_only_fault_at_the_same_cases():
         "level 4: right unit multiplicativity: 2401 cases: pass",
         "level 4: right unit cone compatibility: 1372 cases: pass",
     ]
+
+
+def test_axiom_suite_lines_are_pinned():
+    # the multiplicativity laws reuse the verdict of (m1, m2) for (m2, m1);
+    # the lines of the sound suite, case counts included, stay as they were
+    lines = [line for n in range(1, 5)
+             for line in check_axioms(n, coeff_window=6, cone_window=6).lines()]
+    assert len(lines) == 28
+    assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest() == \
+        "ab1f37ec6f7080141c48359ce7eb48c92c872dc99afd999e721c97b0a0af85fc"
 
 
 def test_untruncated_requires_letter_bound():
