@@ -17,11 +17,11 @@ memoises, per s, its chain table, its differential matrix (stored by
 columns, see f2linalg), its cohomology, and the images of its cohomology in
 lower complexes of its model, keyed by the lower complex's cache key and s.
 No memo holds a lower complex.  A model declares three things: the hooks
-`_chains` (or `_new_table`, as cobar does), `_targets` and `_legal`;
-`_chain_key(s)`, the inputs that list slice s; and `_coeff_key()`, what
-`_targets` reads beyond the chain.  The base
-assembles every matrix and `_truncation_map` restricts every model to a
-lower level.  Both models share one key, slice_key.
+`_chains` (or `_new_table`, as cobar does), `_targets` (or `_columns`, as
+cobar does) and `_legal`; `_chain_key(s)`, the inputs that list slice s;
+and `_coeff_key()`, what d reads beyond the chain.  The base assembles
+every matrix and `_truncation_map` restricts every model to a lower level.
+Both models share one key, slice_key.
 Cobar is the reference: `ext`, `ext-table` and every label come from it.
 Callers that read only dims take them from the Koszul complexes:
 limit_ext_report's certificates, verify_localization and
@@ -43,8 +43,14 @@ table holds it, and a band is the sorted union of its blocks, so tables of
 different bands share the word tuples.  The split part of d on a word, the
 reduced comultiplication of each letter, reads neither p, the band nor the
 level, so a block builds it once per word, with its first differential, as
-the word objects of the block one length up; only the coaction part is
-built per complex.  Slices 0 and 1, one word per weight, have no blocks.
+the word objects of the block one length up.  Slices 0 and 1, one word per
+weight, have no blocks.  A cobar differential is assembled weight by
+weight: the words of one weight share the coaction letters of u^(p - w)
+and their block's split map (a word of slice 0 or 1 is split as it comes).
+The split part of d into a given next table reads no p, so once a second
+coefficient key asks for that pair of tables, the source table keeps it
+(`ChainTable.split_cols`, freed with the table) and each key from then on
+adds only its coaction part to a copy; a pair asked for once keeps nothing.
 The table of slice s also holds the differential out of it, keyed by the
 next table's key and `_coeff_key()`, and its cohomology, keyed by the
 previous table's key (0 at s = 0), the next one's and `_coeff_key()`; a
@@ -65,9 +71,9 @@ from .f2linalg import (
     CohomologyResult,
     F2Matrix,
     bits,
-    column_echelon,
     echelon_insert,
     cohomology_dim,
+    image_echelon,
 )
 from .grading import CobarMonomial, RO2Degree, element_label
 from .hopf import TruncationLevel, check_level, coaction_letters, comult_reduced, letter_cap
@@ -130,6 +136,15 @@ def _splits(word: tuple[int, ...]):
             for i1, i2 in comult_reduced(e, None))
 
 
+def _weight_splits(table: ChainTable):
+    """(w, word -> `_splits(word)`) for the weights w of a cobar table: its
+    blocks' split maps, or, in slices 0 and 1, where a word is fixed by its
+    weight, each word's own."""
+    if table.blocks:
+        return ((w, block.splits()) for w, block in table.blocks.items())
+    return ((sum(word), {word: tuple(_splits(word))}) for word in table.words)
+
+
 class _WeightBlock:
     """The words of one length s, letter cap and weight w in lex order, and,
     built with the first differential out of them, the split part of d on
@@ -145,12 +160,14 @@ class _WeightBlock:
 
     def splits(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """word -> `_splits(word)`, its targets the word objects of the block
-        one length up, so that they take no memory of their own."""
+        one length up, so that they take no memory of their own.  A target
+        outside that block is kept as built, for the assembly to refuse."""
         if self._splits is None:
             s, cap, w = self.key
             up = _block(s + 1, cap, w, [])
-            same = dict(zip(up.words, up.words)).__getitem__
-            self._splits = {word: tuple(map(same, _splits(word))) for word in self.words}
+            same = dict(zip(up.words, up.words)).get
+            self._splits = {word: tuple([same(t, t) for t in _splits(word)])
+                            for word in self.words}
         return self._splits
 
 
@@ -162,20 +179,41 @@ _BLOCKS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def _block(s: int, cap: int, w: int, held: list) -> _WeightBlock:
     """The block of the words of length s, letters in 1..cap and weight w:
     (e,) + t for ascending e over the words t of weight w - e, where the
-    s - 1 letters of t hold w - e.  Each block reached goes on held, which
-    keeps it alive while a band is listed."""
-    cap = min(cap, w - s + 1) if s else 0
-    key = s, cap, w
-    got = _BLOCKS.get(key)
-    if got is None:
-        if s == 0:
-            words = ((),) if w == 0 else ()
-        else:
-            words = tuple((e,) + t for e in range(max(1, w - (s - 1) * cap), cap + 1)
-                          for t in _block(s - 1, cap, w - e, held).words)
-        got = _BLOCKS[key] = _WeightBlock(key, words)
-    held.append(got)
-    return got
+    s - 1 letters of t hold w - e.  The missing blocks are found from the
+    top, one length at a time, and built from the bottom, so that words of
+    any length cost no stack.  Each block reached goes on held, which keeps
+    it alive while a band is listed."""
+
+    def key(t: int, v: int) -> tuple[int, int, int]:
+        return t, min(cap, v - t + 1) if t else 0, v
+
+    def firsts(t: int, v: int) -> range:
+        c = key(t, v)[1]
+        return range(max(1, v - (t - 1) * c), c + 1)
+
+    missing: list[tuple[int, list[int]]] = []  # (length, weights), longest first
+    t, weights = s, {w}
+    while weights:
+        absent = []
+        for v in weights:
+            got = _BLOCKS.get(key(t, v))
+            if got is None:
+                absent.append(v)
+            else:
+                held.append(got)
+        missing.append((t, absent))
+        weights = {v - e for v in absent for e in firsts(t, v)}
+        t -= 1
+    for t, absent in reversed(missing):
+        for v in absent:
+            if t == 0:
+                words = ((),) if v == 0 else ()
+            else:
+                words = tuple((e,) + u for e in firsts(t, v)
+                              for u in _BLOCKS[key(t - 1, v - e)].words)
+            got = _BLOCKS[key(t, v)] = _WeightBlock(key(t, v), words)
+            held.append(got)
+    return _BLOCKS[key(s, w)]
 
 
 def _band_blocks(s: int, cap: int, lo: int, hi: int) -> tuple[_WeightBlock, ...]:
@@ -200,10 +238,11 @@ class ChainTable:
     through _TABLES by every complex of a model with the same chain key, and
     the differentials and cohomology assembled on it, which complexes with
     equal neighbouring tables and equal `_coeff_key()` share.  A cobar table
-    also holds the weight blocks of its words, by weight."""
+    also holds the weight blocks of its words, by weight, and the split part
+    of d into each next table that a second coefficient key asked for."""
 
-    __slots__ = ("key", "words", "index", "blocks", "matrices", "cohomology",
-                 "__weakref__")
+    __slots__ = ("key", "words", "index", "blocks", "matrices", "split_cols",
+                 "cohomology", "__weakref__")
 
     def __init__(self, key: tuple, words: tuple[tuple[int, ...], ...],
                  blocks: dict[int, _WeightBlock] | None = None):
@@ -213,8 +252,14 @@ class ChainTable:
         self.blocks = blocks
         # (next slice's table key, coeff key) -> d out of this slice
         self.matrices: dict[tuple, F2Matrix] = {}
+        # next slice's table key -> the columns of the split part of d
+        self.split_cols: dict[tuple, tuple[int, ...]] = {}
         # (previous slice's table key or 0, next slice's, coeff key) -> H here
         self.cohomology: dict[tuple, CohomologyResult] = {}
+
+
+def _missing(error: KeyError, chain: tuple[int, ...]) -> AssertionError:
+    return AssertionError(f"boundary target {error.args[0]} of {chain} missing")
 
 
 # (model, chain key) -> table; a table stays while some complex's memo holds it
@@ -226,11 +271,12 @@ class SlicesBase:
     slice_key.  A model supplies `_chains(s)` (the basis of slice s in
     canonical order; or overrides `_new_table(key, s)`, which lists it
     under the size guard), `_targets(chain)` (the chains of slice s+1 in
-    d(chain), repeats cancelling) and `_legal(chain)` (every letter exists
-    at this complex's level, which `_truncation_map` asks of the lower
-    complex).  It may narrow `_chain_key(s)` to the inputs `_chains(s)`
-    reads and `_coeff_key()` to what `_targets` reads beyond the chain, so
-    that more complexes share each table, differential and cohomology."""
+    d(chain), repeats cancelling; or overrides `_columns(src, tgt)`, which
+    assembles d chain by chain from them) and `_legal(chain)` (every letter
+    exists at this complex's level, which `_truncation_map` asks of the
+    lower complex).  It may narrow `_chain_key(s)` to the inputs `_chains(s)`
+    reads and `_coeff_key()` to what d reads beyond the chain, so that
+    more complexes share each table, differential and cohomology."""
 
     def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
         _check_key(n, invert_u)
@@ -282,20 +328,24 @@ class SlicesBase:
         key = tgt.key, self._coeff_key()
         got = src.matrices.get(key)
         if got is None:
-            cols = []
-            row = tgt.index.__getitem__
-            for chain in src.words:
-                col = 0
-                try:
-                    for i in map(row, self._targets(chain)):
-                        col ^= 1 << i
-                except KeyError as missing:
-                    raise AssertionError(
-                        f"boundary target {missing.args[0]} of {chain} missing") from None
-                cols.append(col)
-            got = src.matrices[key] = F2Matrix(len(tgt.words), len(src.words), tuple(cols))
+            got = src.matrices[key] = F2Matrix(len(tgt.words), len(src.words),
+                                               tuple(self._columns(src, tgt)))
         self._matrices[s] = got
         return got
+
+    def _columns(self, src: ChainTable, tgt: ChainTable) -> list[int]:
+        """The columns of d from table src into table tgt, chain by chain."""
+        cols = []
+        row = tgt.index.__getitem__
+        for chain in src.words:
+            col = 0
+            try:
+                for i in map(row, self._targets(chain)):
+                    col ^= 1 << i
+            except KeyError as missing:
+                raise _missing(missing, chain) from None
+            cols.append(col)
+        return cols
 
     def cohomology(self, s: int) -> CohomologyResult:
         if s < 0:
@@ -353,14 +403,40 @@ class SliceComplex(SlicesBase):
         # coaction_letters(beta, n) reads beta mod 2^n at a finite level (Lucas)
         return self.n, self.p_key if self.n is None else self.p_key % 2**self.n
 
-    def _targets(self, word: tuple[int, ...]) -> list[tuple[int, ...]]:
-        # word is a chain of this complex's slice len(word), whose table
-        # holds the block of its weight from length 2 on
-        w = sum(word)
-        out = [(i,) + word for i in coaction_letters(self.p_key - w, self.n)]
-        block = self._words[len(word)].blocks.get(w)
-        out += block.splits()[word] if block else _splits(word)
-        return out
+    def _columns(self, src: ChainTable, tgt: ChainTable) -> list[int]:
+        """The columns of d from src into tgt.  The split part reads no p,
+        so once a second coefficient key asks for this pair of tables, src
+        keeps it, and each key from then on adds only its coaction part."""
+        split = src.split_cols.get(tgt.key)
+        if split is None and any(key[0] == tgt.key for key in src.matrices):
+            split = src.split_cols[tgt.key] = tuple(self._part(src, tgt, None, coaction=False))
+        return self._part(src, tgt, split)
+
+    def _part(self, src: ChainTable, tgt: ChainTable, split: tuple[int, ...] | None,
+              coaction: bool = True) -> list[int]:
+        """The split part of d, built here when split is None, else the kept
+        columns, plus the coaction part unless coaction is False, weight by
+        weight: the words of weight w share the coaction letters of
+        u^(p - w), and a weight with none keeps its kept columns as they are."""
+        row, at = tgt.index.__getitem__, src.index.__getitem__
+        cols = [0] * len(src.words) if split is None else list(split)
+        for w, splits in _weight_splits(src):
+            letters = coaction_letters(self.p_key - w, self.n) if coaction else ()
+            if split is not None and not letters:
+                continue
+            for word, targets in splits.items():
+                j = at(word)
+                col = cols[j]
+                try:
+                    if split is None:
+                        for i in map(row, targets):
+                            col ^= 1 << i
+                    for i in letters:
+                        col ^= 1 << row((i,) + word)
+                except KeyError as missing:
+                    raise _missing(missing, word) from None
+                cols[j] = col
+        return cols
 
     def _legal(self, word: tuple[int, ...]) -> bool:
         cap = letter_cap(self.n)
@@ -532,7 +608,7 @@ def _image_in_lower(hi: SlicesBase, lo: SlicesBase,
         return got
     index_map = _truncation_map(hi, lo, s)
     d_out = lo.matrix(s)
-    pivots = column_echelon(lo.matrix(s - 1))[0] if s > 0 else {}
+    pivots = image_echelon(lo.matrix(s - 1)) if s > 0 else {}
     residues = []
     for v in hi.cohomology(s).representatives:
         w = _map_vector(index_map, v)

@@ -16,10 +16,6 @@ class CompositionNonzeroError(Exception):
     """The two maps do not compose to zero, so they are not a cochain pair."""
 
 
-def lowest_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
 def bits(v: int):
     """Indices of the set bits of v, ascending."""
     while v:
@@ -33,13 +29,23 @@ def echelon_insert(pivots: dict[int, int], v: int) -> int:
     Returns the residue (0 if v lies in the span).  Mutates pivots.
     """
     while v:
-        c = lowest_bit(v)
+        c = (v & -v).bit_length() - 1
         row = pivots.get(c)
         if row is None:
             pivots[c] = v
             return v
         v ^= row
     return 0
+
+
+def image_echelon(m: F2Matrix) -> dict[int, int]:
+    """The image echelon of m, keyed by pivot row: column_echelon's first
+    value, from the same reductions in the same order, without the masks of
+    the columns combined."""
+    image: dict[int, int] = {}
+    for v in m.col_bits:
+        echelon_insert(image, v)
+    return image
 
 
 def _transposed(vectors, length: int) -> tuple[int, ...]:
@@ -118,12 +124,7 @@ class F2Matrix(Record):
         return out
 
     def rank(self) -> int:
-        pivots: dict[int, int] = {}
-        n = 0
-        for c in self.col_bits:
-            if echelon_insert(pivots, c):
-                n += 1
-        return n
+        return len(image_echelon(self))
 
     def kernel_basis(self) -> list[int]:
         """The canonical null-space basis, from column_echelon: for each free
@@ -142,7 +143,7 @@ def column_echelon(m: F2Matrix) -> tuple[dict[int, int], list[int]]:
     kernel = []
     for j, v in enumerate(m.col_bits):
         combo = 1 << j
-        while v and (r := lowest_bit(v)) in image:
+        while v and (r := (v & -v).bit_length() - 1) in image:
             v ^= image[r]
             combo ^= combos[r]
         if v:
@@ -163,18 +164,20 @@ def cohomology_dim(d_in: F2Matrix, d_out: F2Matrix) -> CohomologyResult:
     """Dimension and representatives of ker(d_out)/im(d_in).
 
     d_in maps into the middle slot (its rows index it), d_out maps out of it
-    (its columns index it).  Raises CompositionNonzeroError when
-    d_out . d_in != 0.  Representatives are d_out's kernel vectors reduced
-    against d_in's image echelon, one column_echelon each, in kernel-basis
+    (its columns index it).  Representatives are d_out's kernel vectors
+    reduced against d_in's image echelon (image_echelon), in kernel-basis
     order, so they are deterministic.
+
+    Raises CompositionNonzeroError when d_out . d_in != 0, decided without
+    the product: the echelon starts as a basis of im, of rank r, and each
+    kernel vector that leaves a nonzero residue enlarges its span, which
+    ends as ker + im.  So the residues number dim(ker + im) - r =
+    dim ker - dim(ker & im).  That is dim ker - r exactly when
+    ker & im = im, i.e. im lies in ker, i.e. d_out . d_in = 0.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions differ")
-    if not d_out.mul(d_in).is_zero():
-        raise CompositionNonzeroError(
-            f"composite is nonzero on a {d_in.cols}-dim source"
-        )
-    pivots = column_echelon(d_in)[0]
+    pivots = image_echelon(d_in)
     image_rank = len(pivots)
     kernel = d_out.kernel_basis()
     reps = []
@@ -183,5 +186,7 @@ def cohomology_dim(d_in: F2Matrix, d_out: F2Matrix) -> CohomologyResult:
         if residue:
             reps.append(residue)
     if len(reps) != len(kernel) - image_rank:
-        raise AssertionError("rank bookkeeping disagrees with representative count")
+        raise CompositionNonzeroError(
+            f"composite is nonzero on a {d_in.cols}-dim source"
+        )
     return CohomologyResult(len(reps), tuple(reps))

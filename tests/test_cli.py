@@ -430,6 +430,12 @@ PINNED_STDOUT = [
      "7c4b7ba327b850835c8b6e2c76b53dd0d73443416015d56c794eb94cbf04c8f2"),
     (('ext-table', '--n', '2', '--s', '0..2', '--p', '-3..3', '--q', '-3..3', '--jobs', '1'),
      "fac135666edf92a54d24a97e1b53c5bada92ef79f76b74aa6f83cb3c581acfb3"),
+    (('ext-table', '--n', '2', '--s', '0..5', '--p', '-4..4', '--q', '-4..4', '--invert-u',
+      '--jobs', '1'),
+     "b8485afb8cd127dfa20df941a42a548b0f92666e8755bd3ef901deae00b29dcf"),
+    (('ext-table', '--n', '3', '--s', '0..4', '--p', '-4..4', '--q', '-4..4', '--invert-u',
+      '--jobs', '2'),
+     "9ced758536cbb833a6a5444cbc44a33848ffffb7ad79f89860c24994833f2ecf"),
     (('xadic', '--n', '2', '--t', '0', '--s', '2', '--p', '3', '--q', '-1'),
      "1ad326b55d946d5a1d0150f419adb2bb19b27cd08435c79d41ff0043b0d0dad4"),
     (('etar', '--theta', '4', '3'),

@@ -263,13 +263,19 @@ def test_tower_image_memo_stores_no_error():
                                 koszul.KoszulComplex(2, True, 1, 0)],
                          ids=["cobar", "koszul"])
 def test_matrix_rejects_a_boundary_target_outside_the_next_slice(monkeypatch, cx):
-    targets = type(cx)._targets
+    if isinstance(cx, cobar.SliceComplex):
+        # cobar assembles by weight block: one coaction letter past the cap
+        letters = cobar.coaction_letters
+        monkeypatch.setattr(cobar, "coaction_letters",
+                            lambda beta, n: letters(beta, n) + (letter_cap(n) + 1,))
+    else:
+        targets = type(cx)._targets
 
-    def one_too_many(self, chain):
-        yield from targets(self, chain)
-        yield (99,) + chain
+        def one_too_many(self, chain):
+            yield from targets(self, chain)
+            yield (99,) + chain
 
-    monkeypatch.setattr(type(cx), "_targets", one_too_many)
+        monkeypatch.setattr(type(cx), "_targets", one_too_many)
     # fresh tables: a matrix that another test assembled is shared, not rebuilt
     monkeypatch.setattr(cobar, "_TABLES", weakref.WeakValueDictionary())
     with pytest.raises(AssertionError, match="missing"):

@@ -17,7 +17,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from cobarext.f2linalg import F2Matrix, bits, cohomology_dim, echelon_insert  # noqa: E402
+from cobarext.f2linalg import (  # noqa: E402
+    CohomologyResult,
+    CompositionNonzeroError,
+    F2Matrix,
+    bits,
+    cohomology_dim,
+    column_echelon,
+    echelon_insert,
+    image_echelon,
+)
 
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "cobarext-hypothesis"))
 PROPS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -51,6 +60,16 @@ def cochain_pairs(draw):
             row ^= annihilator[k]
         rows.append(row)
     return d_in, F2Matrix.from_rows(len(rows), d_in.rows, rows)
+
+
+@st.composite
+def composable_pairs(draw):
+    """(d_in, d_out) with as many columns of d_out as rows of d_in: half of
+    them cochain pairs, the rest drawn freely."""
+    if draw(st.booleans()):
+        return draw(cochain_pairs())
+    d_in = draw(matrices())
+    return d_in, F2Matrix.from_rows(*draw(row_lists(cols=d_in.rows)))
 
 
 @PROPS
@@ -104,3 +123,19 @@ def test_mul_and_apply_match_the_row_form_product(data):
     assert a.mul(b).row_bits == tuple(product)
     # coordinate i of a.v is the parity of row i of a against v
     assert a.apply(v) == sum(((r & v).bit_count() & 1) << i for i, r in enumerate(a_rows))
+
+
+@PROPS
+@given(composable_pairs())
+def test_the_composition_check_is_exact(pair):
+    d_in, d_out = pair
+    assert image_echelon(d_in) == column_echelon(d_in)[0]
+    if not d_out.mul(d_in).is_zero():
+        with pytest.raises(CompositionNonzeroError):
+            cohomology_dim(d_in, d_out)
+        return
+    # d_out's kernel reduced against the image echelon of a full elimination
+    pivots = column_echelon(d_in)[0]
+    reps = [echelon_insert(pivots, v) for v in d_out.kernel_basis()]
+    reps = tuple(r for r in reps if r)
+    assert cohomology_dim(d_in, d_out) == CohomologyResult(len(reps), reps)
