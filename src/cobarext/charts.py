@@ -65,6 +65,12 @@ def _filtration_dots(s: int, stems: tuple[int, int]) -> list[ChartDot]:
     return [_dot(mono) for monos in pages.values() for mono in monos]
 
 
+def _filtrations(s_max: int) -> range:
+    if s_max < 0:
+        raise ValueError(f"no chart at negative filtration s={s_max}")
+    return range(s_max + 1)
+
+
 def integer_stem_chart(stem_max: int, s_max: int, stem_min: int = 0,
                        map_fn=map) -> list[ChartDot]:
     """Dots of the uncompleted limit page in integer stems (sigma-part 0).
@@ -73,7 +79,7 @@ def integer_stem_chart(stem_max: int, s_max: int, stem_min: int = 0,
     process pool's ordered map fits, since the row function pickles.
     """
     rows = map_fn(functools.partial(_filtration_dots, stems=(stem_min, stem_max)),
-                  range(s_max + 1))
+                  _filtrations(s_max))
     return sorted((dot for row in rows for dot in row), key=ChartDot.sort_key)
 
 
@@ -87,8 +93,9 @@ def slice_chart(q_slice: int, stems: tuple[int, int], s_max: int) -> list[ChartD
     else ChartMismatchError.
     """
     dots = []
+    filtrations = _filtrations(s_max)
     for stem in range(stems[0], stems[1] + 1):
-        for s in range(s_max + 1):
+        for s in filtrations:
             d = RO2Degree(stem + s, q_slice)
             dim = koszul.get_koszul(d, koszul.stable_level(s, d)).cohomology(s).dim
             names = xadic.completed_basis(s, d)

@@ -136,8 +136,6 @@ def cmd_ext_table(args) -> int:
     s_lo, s_hi = parse_range(args.s)
     p_lo, p_hi = parse_range(args.p)
     q_lo, q_hi = parse_range(args.q)
-    if s_lo < 0:
-        raise UsageError("filtration window must start at 0 or above")
     cells = [
         (n, s, p, q, args.invert_u)
         for s in range(s_lo, s_hi + 1)
@@ -154,14 +152,13 @@ def cmd_ext_table(args) -> int:
 
 def cmd_limit_ext(args) -> int:
     d = RO2Degree(args.p, args.q)
-    start = koszul.stable_level(args.s, d) if args.start is None else args.start
-    return run_report(cobar.limit_ext_report(
-        args.s, d, range(start, start + args.depth + 1)), args.out)
+    n = koszul.stable_level(args.s, d)  # the tower is constant from level n on
+    return run_report(cobar.limit_ext_report(args.s, d, range(n, n + 4)), args.out)
 
 
 def cmd_verify_axioms(args) -> int:
     return run_report(hopf.AxiomSuiteReport(tuple(
-        hopf.check_axioms(n, args.letters, coeff_window=args.window, cone_window=args.window)
+        hopf.check_axioms(n, coeff_window=args.window, cone_window=args.window)
         for n in range(1, args.nmax + 1)
     )), args.out)
 
@@ -194,8 +191,11 @@ def cmd_verify_vanishing(args) -> int:
 
 
 def cmd_verify_localization(args) -> int:
+    levels = tuple(map(parse_level, args.n))
+    if None in levels:
+        raise UsageError("u cannot be inverted at level inf; sample finite levels")
     return run_report(cobar.verify_localization(
-        tuple(args.n), window=args.window, s_max=args.smax), args.out)
+        levels, window=args.window, s_max=args.smax), args.out)
 
 
 def cmd_xadic(args) -> int:
@@ -308,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit-ext", help="completed Ext via the level tower")
     _add_spq(p)
-    p.add_argument("--start", type=int, help="lowest level (default: the stable level)")
-    p.add_argument("--depth", type=int, default=3,
-                   help="tower spans start..start+depth")
     _add_out(p)
     p.set_defaults(func=cmd_limit_ext)
 
@@ -319,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = checks.add_parser("axioms", help="coalgebra/comodule/right-unit laws")
     c.add_argument("--nmax", type=int, default=4)
-    c.add_argument("--letters", type=int, default=None,
-                   help="cap on bar letters (default: the level's full range)")
     c.add_argument("--window", type=int, default=6,
                    help="bound on coefficient exponents in the suite")
     _add_out(c)
@@ -354,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = checks.add_parser("localization",
                           help="inverting u agrees with large u^(2^n) shifts")
-    c.add_argument("--n", type=int, nargs="+", default=[1, 2], help="levels to sample")
+    c.add_argument("--n", nargs="+", default=["1", "2"], help="levels to sample")
     c.add_argument("--window", type=int, default=6, help="|p|, |q| bound")
     c.add_argument("--smax", type=int, default=4)
     _add_out(c)

@@ -500,9 +500,6 @@ class ExtResult(Record):
     words: tuple[tuple[int, ...], ...]
     __slots__ = tuple(__annotations__)
 
-    def rep_monomials(self, v: int) -> list[CobarMonomial]:
-        return [_monomial(self.words[j], self.degree) for j in bits(v)]
-
     @property
     def rep_labels(self) -> tuple[str, ...]:
         return _labels(self.words, self.degree, self.rep_vectors)
@@ -553,11 +550,11 @@ class LimitReport(Record):
     rule: str
     stabilized: bool
     limit_dim: int | None
-    __slots__ = (*__annotations__, "__dict__")  # basis_labels caches in __dict__
+    __slots__ = tuple(__annotations__)
 
-    @functools.cached_property
+    @property
     def basis_labels(self) -> tuple[str, ...]:
-        """Cobar labels of a certified nonzero limit, built on first read: the
+        """Cobar labels of a certified nonzero limit, built on each read: the
         image of the top level's cobar cohomology in the level below, which
         must have the certified dimension."""
         if not self.limit_dim:
@@ -656,7 +653,7 @@ def limit_ext_report(s: int, d: RO2Degree, levels) -> LimitReport:
 
     Either rule only attests to the inspected window: a class born
     above the top level is invisible.  From koszul.stable_level(s, d) on the
-    tower is constant; limit-ext's default starts there, and slice charts
+    tower is constant; limit-ext starts there, and slice charts
     read the one complex at that level instead of a tower.
     """
     from .koszul import get_koszul  # koszul.py builds on this module

@@ -30,8 +30,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # a "__dict__" slot (for a cached_property) is not a field
-        cls._fields = tuple(f for f in cls.__dict__["__slots__"] if not f.startswith("__"))
+        cls._fields = cls.__dict__["__slots__"]
         get = attrgetter(*cls._fields)
         cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
 

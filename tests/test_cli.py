@@ -77,14 +77,6 @@ def test_limit_ext_window_defaults_to_the_stable_level():
     assert doc["limit_dim"] == 1 and doc["basis"] == ["[x^16]"]
 
 
-def test_limit_ext_not_stabilized_exit_1():
-    r = run("limit-ext", "--s", "1", "--p", "2", "--q", "0",
-            "--start", "1", "--depth", "2")
-    assert r.returncode == 1
-    doc = json.loads(r.stdout)
-    assert doc["stabilized"] is False and doc["limit_dim"] is None
-
-
 def test_verify_axioms():
     r = run("verify", "axioms", "--nmax", "2", "--window", "3")
     assert r.returncode == 0
@@ -223,6 +215,15 @@ def test_verify_localization_small_window():
     assert r.returncode == 0 and "0 failures: pass" in r.stdout
 
 
+@pytest.mark.parametrize("level,err", [
+    ("0", "error: level must be a positive integer or 'inf', got '0'\n"),
+    ("inf", "error: u cannot be inverted at level inf; sample finite levels\n"),
+], ids=["0", "inf"])
+def test_verify_localization_levels_are_usage_checked(capsys, level, err):
+    assert cli.main(["verify", "localization", "--n", "1", level]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def test_xadic_stage_dump():
     r = run("xadic", "--n", "2", "--t", "0", "--s", "0", "--p", "1", "--q", "-1")
     assert r.returncode == 0
@@ -330,6 +331,9 @@ NEGATIVE_FILTRATION = [
     ("ext", "--n", "2", "--s", "-1", "--p", "0", "--q", "0"),
     ("limit-ext", "--s", "-1", "--p", "0", "--q", "0"),
     ("xadic", "--n", "2", "--t", "0", "--s", "-1", "--p", "0", "--q", "0"),
+    ("chart", "--smax", "-1"),
+    ("chart", "--sigma", "0", "--smax", "-1"),
+    ("ext-table", "--n", "2", "--s", "-1..1"),
 ]
 
 
@@ -357,20 +361,19 @@ def test_unwritable_out_is_usage_error(tmp_path, argv):
 
 
 def test_limit_ext_deep_cell():
-    # s = 5 at level 3 took about 280 s on cobar towers
-    r = run("limit-ext", "--s", "5", "--p", "5", "--q", "-3", "--start", "1",
-            "--depth", "2", timeout=60)
+    # levels 1..4; s = 5 at level 3 took about 280 s on cobar towers
+    r = run("limit-ext", "--s", "5", "--p", "5", "--q", "-3", timeout=60)
     assert r.returncode == 0
     doc = json.loads(r.stdout)
+    assert doc["levels"] == [1, 2, 3, 4]
     assert doc["stabilized"] is True and doc["limit_dim"] == 0
 
 
 def test_limit_ext_oversized_koszul_slice_exits_2():
-    # C(24, 7) Koszul chains at level 18, s = 7
-    r = run("limit-ext", "--s", "8", "--p", "0", "--q", "0", "--start", "18",
-            "--depth", "2", timeout=60)
+    # the stable level is 18 here, and its Koszul slice s = 8 is too large
+    r = run("limit-ext", "--s", "8", "--p", "262146", "--q", "0", timeout=60)
     assert r.returncode == 2
-    assert "error: slice s=7 exceeds 200000 monomials" in r.stderr
+    assert r.stderr == "error: slice s=8 exceeds 200000 monomials\n"
 
 
 def test_oversized_slice_exits_2():
@@ -530,7 +533,6 @@ def test_failure_output_bytes(monkeypatch, capsys, argv, owner, name, wrap, dige
 
 # windows that hold nothing to check: a gate that checked nothing must fail
 EMPTY_WINDOWS = [
-    ("verify", "axioms", "--nmax", "1", "--letters", "-1", "--window", "-1"),
     ("verify", "axioms", "--nmax", "0"),
     ("verify", "einfty", "--n", "1", "--window", "-1"),
     ("verify", "vanishing", "--smax", "-1"),

@@ -314,13 +314,11 @@ def test_every_basis_word_is_a_valid_monomial():
         assert all(m.degree() == d for m in cobar.basis(s, d, n, invert_u))
 
 
-def test_rep_monomials_are_the_basis_entries_of_the_vector():
+def test_rep_labels_name_the_basis_entries_of_the_vector():
     for n, invert_u, s, d in _basis_window():
         if n == 3 and invert_u and s == 4:
             continue  # assembling their s = 5 targets takes about 10 s
         b = cobar.basis(s, d, n, invert_u)
         res = cobar.ext_dim(s, d, n, invert_u)
         old = tuple(element_label([b[j] for j in bits(v)]) for v in res.rep_vectors)
-        for v in res.rep_vectors:
-            assert res.rep_monomials(v) == [b[j] for j in bits(v)]
         assert res.rep_labels == old

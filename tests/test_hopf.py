@@ -153,6 +153,15 @@ def test_axiom_suite_empty_window():
     assert report.ok
 
 
+def test_axiom_suite_of_no_cases_fails():
+    # every law's window is empty: a gate that checked nothing must fail
+    report = check_axioms(1, -1, coeff_window=-1, cone_window=-1)
+    assert report.checks and all(c.cases == 0 for c in report.checks)
+    assert not report.ok
+    assert report.lines() == [f"level 1: {c.name}: 0 cases: FAIL (no cases)"
+                              for c in report.checks]
+
+
 def test_axiom_suite_catches_corrupted_coaction():
     def corrupted(alpha, beta, n):
         # drop the interesting term of psi(u) on every u^1 monomial
