@@ -157,25 +157,12 @@ def cmd_limit_ext(args) -> int:
 
 
 def cmd_verify_axioms(args) -> int:
-    return run_report(hopf.AxiomSuiteReport(tuple(
-        hopf.check_axioms(n, coeff_window=args.window, cone_window=args.window)
-        for n in range(1, args.nmax + 1)
-    )), args.out)
-
-
-def _coboundary_cases(args):
-    if args.r is None and args.m is None:
-        return [(r, m, n)
-                for r in range(args.rmax + 1)
-                for m in range(args.mmax + 1)
-                for n in range(r + 1, max(args.nmax, r + 1) + 1)]
-    if args.r is None or args.m is None:
-        raise UsageError("--r and --m go together")
-    return [(args.r, args.m, args.n if args.n is not None else args.r + 1)]
+    return run_report(hopf.verify_axioms(args.nmax, args.window), args.out)
 
 
 def cmd_verify_coboundary(args) -> int:
-    return run_report(xadic.verify_coboundaries(_coboundary_cases(args)), args.out)
+    return run_report(
+        xadic.verify_coboundaries(args.rmax, args.mmax, args.nmax), args.out)
 
 
 def cmd_verify_einfty(args) -> int:
@@ -191,11 +178,8 @@ def cmd_verify_vanishing(args) -> int:
 
 
 def cmd_verify_localization(args) -> int:
-    levels = tuple(map(parse_level, args.n))
-    if None in levels:
-        raise UsageError("u cannot be inverted at level inf; sample finite levels")
     return run_report(cobar.verify_localization(
-        levels, window=args.window, s_max=args.smax), args.out)
+        tuple(map(parse_level, args.n)), window=args.window, s_max=args.smax), args.out)
 
 
 def cmd_xadic(args) -> int:
@@ -321,14 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(c)
     c.set_defaults(func=cmd_verify_axioms)
 
-    c = checks.add_parser("coboundary",
+    # no abbreviations: --r and --m would otherwise be read as --rmax and --mmax
+    c = checks.add_parser("coboundary", allow_abbrev=False,
                           help="u^(2^r(2m+1)) bounds a^(2^(r+1))[x^(2^r)]")
-    c.add_argument("--r", type=int, default=None)
-    c.add_argument("--m", type=int, default=None)
-    c.add_argument("--n", type=int, default=None, help="level (default r+1)")
-    c.add_argument("--rmax", type=int, default=3, help="sweep bound when --r is absent")
-    c.add_argument("--mmax", type=int, default=3, help="sweep bound when --m is absent")
-    c.add_argument("--nmax", type=int, default=4, help="sweep levels r+1..nmax")
+    c.add_argument("--rmax", type=int, default=3, help="check r = 0..rmax")
+    c.add_argument("--mmax", type=int, default=3, help="check m = 0..mmax")
+    c.add_argument("--nmax", type=int, default=4,
+                   help="check levels r+1..max(nmax, r+1)")
     _add_out(c)
     c.set_defaults(func=cmd_verify_coboundary)
 

@@ -738,10 +738,17 @@ def verify_localization(n_values=(1, 2), window: int = 6,
     clears every denominator a slice could carry (weight of slices s-1..s+1
     is at most (s+1)(2^n - 1)), which is where multiplication by u^(2^n)
     has become an isomorphism.  Every dim is read from the Koszul complex
-    (the tests recompute them on cobar).
+    (the tests recompute them on cobar).  The levels must be finite, since
+    u is not inverted at inf, and distinct, so no tridegree counts twice.
     """
     from .koszul import get_koszul  # koszul.py builds on this module
 
+    n_values = tuple(n_values)
+    if None in n_values:
+        raise ValueError("u cannot be inverted at level inf; sample finite levels")
+    for i, n in enumerate(n_values):
+        if n in n_values[:i]:
+            raise ValueError(f"level {n} is sampled twice; sample each level once")
     entries = []
     for n in n_values:
         period = 2**n

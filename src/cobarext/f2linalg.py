@@ -88,22 +88,12 @@ class F2Matrix(Record):
     def zero(cls, rows: int, cols: int) -> F2Matrix:
         return cls(rows, cols, (0,) * cols)
 
-    @classmethod
-    def identity(cls, n: int) -> F2Matrix:
-        return cls(n, n, tuple(1 << j for j in range(n)))
-
     @property
     def row_bits(self) -> tuple[int, ...]:
         return _transposed(self.col_bits, self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.col_bits[j] >> i) & 1
-
     def is_zero(self) -> bool:
         return not any(self.col_bits)
-
-    def transpose(self) -> F2Matrix:
-        return F2Matrix(self.cols, self.rows, self.row_bits)
 
     def mul(self, other: F2Matrix) -> F2Matrix:
         """Matrix product self @ other (apply other first, then self)."""

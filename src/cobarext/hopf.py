@@ -379,3 +379,12 @@ def check_axioms(
                 break
         checks.append(AxiomCheck(name, count, count > 0 and bad is None, bad))
     return AxiomReport(n, tuple(checks))
+
+
+def verify_axioms(n_max: int, window: int) -> AxiomSuiteReport:
+    """check_axioms at each level 1..n_max, with coefficient and cone
+    exponents up to window."""
+    return AxiomSuiteReport(tuple(
+        check_axioms(n, coeff_window=window, cone_window=window)
+        for n in range(1, n_max + 1)
+    ))

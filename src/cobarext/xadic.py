@@ -273,9 +273,15 @@ def verify_coboundary(r: int, m: int, n: int) -> CoboundaryCheck:
     )
 
 
-def verify_coboundaries(cases) -> CoboundaryReport:
-    """verify_coboundary on each (r, m, n) case, in order."""
-    return CoboundaryReport(tuple(verify_coboundary(r, m, n) for r, m, n in cases))
+def verify_coboundaries(r_max: int, m_max: int, n_max: int) -> CoboundaryReport:
+    """verify_coboundary for r <= r_max and m <= m_max at the levels
+    r < n <= max(n_max, r + 1), so each r is checked at least at r + 1."""
+    return CoboundaryReport(tuple(
+        verify_coboundary(r, m, n)
+        for r in range(r_max + 1)
+        for m in range(m_max + 1)
+        for n in range(r + 1, max(n_max, r + 1) + 1)
+    ))
 
 
 class VanishingEntry(Record):

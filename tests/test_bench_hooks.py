@@ -1,5 +1,5 @@
 """The names the benchmark patches and reads still exist, and its workloads
-still reproduce their pinned digests.
+still reproduce their pinned digests, with and without its tracer.
 
 bench/spans.py wraps functions and methods by name and counts fresh slices
 by reading the memo dicts of SliceComplex, and bench/child.py reads the
@@ -58,5 +58,23 @@ def test_workload_reproduces_its_pinned_digest(name, seed):
     cells, run_pass = workloads.WORKLOADS[name]
     outcome = workloads.Outcome(cells)
     run_pass(outcome, seed)
+    assert outcome.failed == 0
+    assert hashlib.sha256(outcome.text().encode("utf-8")).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("name", ["vanishing", "ext_table"])
+def test_a_traced_pass_reproduces_its_pinned_digest(name):
+    spans, workloads = _load("spans"), _load("workloads")
+    with open(os.path.join(BENCH, "digests.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)[name]
+    cells, run_pass = workloads.WORKLOADS[name]
+    outcome = workloads.Outcome(cells)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        run_pass(outcome, 0)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
     assert outcome.failed == 0
     assert hashlib.sha256(outcome.text().encode("utf-8")).hexdigest() == pinned

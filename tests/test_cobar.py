@@ -42,7 +42,7 @@ def test_differential_examples():
         m = cobar.differential(0, d, n)
         assert labels(cobar.basis(0, d, n)) == ["u"]
         assert labels(cobar.basis(1, d, n)) == ["a^2 [x]"]
-        assert m.rows == 1 and m.cols == 1 and m.entry(0, 0) == 1
+        assert m.rows == 1 and m.cols == 1 and m.col_bits == (1,)
     # d(u^2) = a^4 [x^2] needs the letter x^2, so level 2 and up
     d = RO2Degree(2, -2)
     m = cobar.differential(0, d, 2)
@@ -174,6 +174,16 @@ def test_localization_identity():
         assert cobar.ext_dim(e.s, d, e.n, True).dim == e.inverted_dim, e
         assert tuple(cobar.ext_dim(e.s, d + shift.scaled(t), e.n, False).dim
                      for t in e.shifts) == e.shifted_dims, e
+
+
+@pytest.mark.parametrize("levels,err", [
+    ((1, None), "u cannot be inverted at level inf; sample finite levels"),
+    ((2, 1, 2), "level 2 is sampled twice; sample each level once"),
+], ids=["inf", "repeated"])
+def test_localization_refuses_inf_and_repeated_levels(levels, err):
+    with pytest.raises(ValueError) as exc:
+        cobar.verify_localization(levels, window=0, s_max=0)
+    assert str(exc.value) == err
 
 
 def test_localization_sees_a_wrong_p_key(monkeypatch):

@@ -16,6 +16,18 @@ def packed(row):
     return sum(b << j for j, b in enumerate(row))
 
 
+def identity(n):
+    return F2Matrix(n, n, tuple(1 << j for j in range(n)))
+
+
+def transpose(m):
+    return F2Matrix.from_rows(m.cols, m.rows, m.col_bits)
+
+
+def entry(m, i, j):
+    return (m.col_bits[j] >> i) & 1
+
+
 def mat(rows_as_lists, cols=None):
     rows = len(rows_as_lists)
     cols = cols if cols is not None else (len(rows_as_lists[0]) if rows else 0)
@@ -77,7 +89,7 @@ def test_from_rows_stores_columns_and_round_trips():
     m = mat([[1, 0, 1], [0, 1, 1]])
     assert m.col_bits == (0b01, 0b10, 0b11)
     assert m.row_bits == (0b101, 0b110)
-    assert [[m.entry(i, j) for j in range(3)] for i in range(2)] == [[1, 0, 1], [0, 1, 1]]
+    assert [[entry(m, i, j) for j in range(3)] for i in range(2)] == [[1, 0, 1], [0, 1, 1]]
     rng = random.Random(1414)
     for _ in range(200):
         rows, cols = rng.randrange(0, 12), rng.randrange(0, 12)
@@ -91,19 +103,9 @@ def test_from_rows_stores_columns_and_round_trips():
         F2Matrix(1, 1, (0b10,))
 
 
-def test_transpose_twice_is_the_identity():
-    rng = random.Random(2828)
-    for _ in range(200):
-        rows, cols = rng.randrange(0, 12), rng.randrange(0, 12)
-        m = F2Matrix.from_rows(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
-        t = m.transpose()
-        assert (t.rows, t.cols, t.col_bits) == (cols, rows, m.row_bits)
-        assert t.transpose() == m
-
-
 def test_rank_examples():
     assert F2Matrix.zero(0, 0).rank() == 0
-    assert F2Matrix.identity(3).rank() == 3
+    assert identity(3).rank() == 3
     assert mat([[1, 1], [1, 1]]).rank() == 1
 
 
@@ -115,12 +117,12 @@ def test_rank_against_naive_oracle():
         entries = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
         m = mat(entries, cols)
         assert m.rank() == len(naive_rref(entries, cols)[1])
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transpose(m).rank()
 
 
 def test_kernel_examples():
     assert mat([[1, 1]]).kernel_basis() == [0b11]
-    assert F2Matrix.identity(4).kernel_basis() == []
+    assert identity(4).kernel_basis() == []
     assert mat([[0, 0]]).kernel_basis() == [0b01, 0b10]
 
 
@@ -141,7 +143,7 @@ def test_kernel_vectors_annihilated_and_independent():
 def test_cohomology_examples():
     two = cohomology_dim(F2Matrix.zero(2, 0), F2Matrix.zero(0, 2))
     assert two.dim == 2 and len(two.representatives) == 2
-    assert cohomology_dim(F2Matrix.identity(3), F2Matrix.zero(0, 3)).dim == 0
+    assert cohomology_dim(identity(3), F2Matrix.zero(0, 3)).dim == 0
     # short exact pattern: inject the diagonal, project onto the difference
     d_in = mat([[1], [1]])
     d_out = mat([[1, 1]])
@@ -150,7 +152,7 @@ def test_cohomology_examples():
 
 def test_composition_checked():
     with pytest.raises(CompositionNonzeroError):
-        cohomology_dim(F2Matrix.identity(2), F2Matrix.identity(2))
+        cohomology_dim(identity(2), identity(2))
 
 
 def test_rank_nullity():
@@ -218,15 +220,15 @@ def test_apply_and_mul_match_the_entries():
         b = F2Matrix(inner, cols, tuple(rng.getrandbits(inner) for _ in range(cols)))
         assert a.apply(0) == 0
         for v in (0, rng.getrandbits(inner), (1 << inner) - 1):
-            want = sum((sum(a.entry(i, j) for j in range(inner) if (v >> j) & 1) % 2) << i
+            want = sum((sum(entry(a, i, j) for j in range(inner) if (v >> j) & 1) % 2) << i
                        for i in range(rows))
             assert a.apply(v) == want
         prod = a.mul(b)
         assert (prod.rows, prod.cols) == (rows, cols)
         for i in range(rows):
             for k in range(cols):
-                want = sum(a.entry(i, j) & b.entry(j, k) for j in range(inner)) % 2
-                assert prod.entry(i, k) == want
+                want = sum(entry(a, i, j) & entry(b, j, k) for j in range(inner)) % 2
+                assert entry(prod, i, k) == want
 
 
 def test_bits_ascending():

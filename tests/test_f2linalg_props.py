@@ -51,7 +51,7 @@ def cochain_pairs(draw):
     """(d_in, d_out) with d_out . d_in = 0: every row of d_out is a sum of
     vectors orthogonal to all columns of d_in."""
     d_in = draw(matrices())
-    annihilator = d_in.transpose().kernel_basis()
+    annihilator = F2Matrix.from_rows(d_in.cols, d_in.rows, d_in.col_bits).kernel_basis()
     masks = draw(st.lists(st.integers(0, (1 << len(annihilator)) - 1), max_size=8))
     rows = []
     for mask in masks:

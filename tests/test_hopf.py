@@ -144,6 +144,14 @@ def test_axiom_suite_passes():
         assert report.ok, report.lines()
 
 
+def test_axiom_suite_runs_each_level_up_to_nmax():
+    suite = hopf.verify_axioms(2, 3)
+    assert suite.reports == tuple(check_axioms(n, coeff_window=3, cone_window=3)
+                                  for n in (1, 2))
+    assert suite.ok
+    assert not hopf.verify_axioms(0, 3).ok
+
+
 def test_axiom_suite_pinned_window():
     assert check_axioms(2, 3, coeff_window=4, cone_window=4).ok
 

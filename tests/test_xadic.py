@@ -116,10 +116,17 @@ def test_coboundary_examples():
 
 
 def test_coboundary_sweep():
-    for r in range(4):
-        for m in range(4):
-            for n in range(r + 1, 5):
-                assert xadic.verify_coboundary(r, m, n).ok
+    report = xadic.verify_coboundaries(3, 3, 4)
+    assert report.ok
+    assert [(c.r, c.m, c.n) for c in report.checks] == [
+        (r, m, n) for r in range(4) for m in range(4) for n in range(r + 1, 5)]
+    # each r is checked at least at its first level r + 1
+    cases = [(c.r, c.m, c.n) for c in xadic.verify_coboundaries(2, 1, 2).checks]
+    assert cases == [(0, 0, 1), (0, 0, 2), (0, 1, 1), (0, 1, 2), (1, 0, 2), (1, 1, 2),
+                     (2, 0, 3), (2, 1, 3)]
+    for window in ((-1, 3, 4), (3, -1, 4)):
+        report = xadic.verify_coboundaries(*window)
+        assert report.checks == () and not report.ok
 
 
 def test_vanishing_examples():
