@@ -86,18 +86,20 @@ def parse_jobs(text: str) -> int:
 def pool_map(fn, items, jobs: int):
     """Map preserving input order; fan out only when it can actually help.
 
-    A fork pool starts all its workers at the first submit, so it gets at
-    most one per item and per CPU, whatever jobs asks for.  The pool is
-    imported here, not at start-up: it pulls in multiprocessing, which a
-    serial run never needs."""
+    The first item runs here before any pool starts, so a window whose
+    first item is refused starts no worker.  A fork pool starts all its
+    workers at the first submit, so it gets at most one per remaining item
+    and per CPU, whatever jobs asks for.  The pool is imported here, not at
+    start-up: it pulls in multiprocessing, which a serial run never needs."""
     items = list(items)
-    workers = min(jobs, len(items), default_jobs())
+    workers = min(jobs, len(items) - 1, default_jobs())
     if workers <= 1:
         return [fn(it) for it in items]
+    first, rest = fn(items[0]), items[1:]
     from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(items) // (4 * workers))
+    chunk = max(1, len(rest) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return [first, *pool.map(fn, rest, chunksize=chunk)]
 
 
 # -- workers (top level so they pickle) --------------------------------------

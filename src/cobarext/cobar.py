@@ -16,12 +16,14 @@ A slice complex (SlicesBase: SliceComplex here, KoszulComplex in koszul.py)
 memoises, per s, its chain table, its differential matrix (stored by
 columns, see f2linalg), its cohomology, and the images of its cohomology in
 lower complexes of its model, keyed by the lower complex's cache key and s.
-No memo holds a lower complex.  A model declares three things: the hooks
+No memo holds a lower complex.  A model declares the band of slice s,
+`_band(s)`, a tuple of the inputs that list its chains in a weight range,
+the last two entries the range lo..hi (hi None for no bound); the hooks
 `_chains` (or `_new_table`, as cobar does), `_targets` (or `_columns`, as
-cobar does) and `_legal`; `_chain_key(s)`, the inputs that list slice s;
-and `_coeff_key()`, what d reads beyond the chain.  The base assembles
-every matrix and `_truncation_map` restricts every model to a lower level.
-Both models share one key, slice_key.
+cobar does) and `_legal`; and `_coeff_key()`, what d reads beyond the chain.
+The base keys each chain table by s and the band, assembles every matrix,
+and `_truncation_map` restricts every model to a lower level.  Both models
+share one complex key, slice_key.
 Cobar is the reference: `ext`, `ext-table` and every label come from it.
 Callers that read only dims take them from the Koszul complexes:
 limit_ext_report's certificates, verify_localization and
@@ -29,24 +31,22 @@ a_multiplication_rank here, xadic.verify_einfty (one worker per
 filtration, xadic._einfty_slice) and charts.slice_chart.
 
 A chain table (the chain list of a slice and its index) is shared by every
-complex of one model with the same `_chain_key(s)` through the weak registry
-_TABLES, so it lives exactly as long as some complex holds it.  A cobar
-slice's words depend only on s, the letter cap and the weight band lo..hi:
-at level 2 with u inverted, the four complexes of one E-cut (p mod 4 =
-0..3) list the same words.  A slice over MAX_SLICE_DIM is refused from a
-closed-form count (`_check_band`) before any of its words is built.  The
-words of one length s >= 2, letter cap and weight form a weight block
-(`_WeightBlock`), listed once from the blocks one length down and shared
-through the weak registry _BLOCKS by every table whose band holds that
-weight; a table holds its blocks, so a block lives exactly as long as some
-table holds it, and a band is the sorted union of its blocks, so tables of
-different bands share the word tuples.  The split part of d on a word, the
-reduced comultiplication of each letter, reads neither p, the band nor the
-level, so a block builds it once per word, with its first differential, as
-the word objects of the block one length up.  Slices 0 and 1, one word per
-weight, have no blocks.  A cobar differential is assembled weight by
-weight: the words of one weight share the coaction letters of u^(p - w)
-and their block's split map (a word of slice 0 or 1 is split as it comes).
+complex of one model with the same s and band through the weak registry
+_TABLES, so it lives exactly as long as some complex holds it.  A cobar band
+is (cap, lo, hi), the letter cap and the weights: at level 2 with u inverted,
+the four complexes of one E-cut (p mod 4 = 0..3) list the same words.  A
+slice over MAX_SLICE_DIM is refused from a closed-form count (`_check_band`)
+before any of its words is built.  The words of one length, letter cap and
+weight form a weight block (`_WeightBlock`), listed once from the blocks one
+length down and shared through the weak registry _BLOCKS by every table
+whose band holds that weight; a table holds its blocks, so a block lives
+exactly as long as some table holds it, and a band is the sorted union of
+its blocks, so tables of different bands share the word tuples.  The split
+part of d on a word, the reduced comultiplication of each letter, reads
+neither p, the band nor the level, so a block builds it once per word, with
+its first differential, as the word objects of the block one length up.  A
+cobar differential is assembled weight by weight: the words of one weight
+share the coaction letters of u^(p - w) and their block's split map.
 The split part of d into a given next table reads no p, so once a second
 coefficient key asks for that pair of tables, the source table keeps it
 (`ChainTable.split_cols`, freed with the table) and each key from then on
@@ -134,15 +134,6 @@ def _splits(word: tuple[int, ...]):
     return (word[:slot] + (i1, i2) + word[slot + 1:]
             for slot, e in enumerate(word)
             for i1, i2 in comult_reduced(e, None))
-
-
-def _weight_splits(table: ChainTable):
-    """(w, word -> `_splits(word)`) for the weights w of a cobar table: its
-    blocks' split maps, or, in slices 0 and 1, where a word is fixed by its
-    weight, each word's own."""
-    if table.blocks:
-        return ((w, block.splits()) for w, block in table.blocks.items())
-    return ((sum(word), {word: tuple(_splits(word))}) for word in table.words)
 
 
 class _WeightBlock:
@@ -268,15 +259,16 @@ _TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 class SlicesBase:
     """The memos and the assembly of one slice complex, built from its
-    slice_key.  A model supplies `_chains(s)` (the basis of slice s in
+    slice_key.  A model supplies `_band(s)` (the inputs that list slice s,
+    its weight range last), `_chains(s)` (the basis of slice s in
     canonical order; or overrides `_new_table(key, s)`, which lists it
     under the size guard), `_targets(chain)` (the chains of slice s+1 in
     d(chain), repeats cancelling; or overrides `_columns(src, tgt)`, which
     assembles d chain by chain from them) and `_legal(chain)` (every letter
     exists at this complex's level, which `_truncation_map` asks of the
-    lower complex).  It may narrow `_chain_key(s)` to the inputs `_chains(s)`
-    reads and `_coeff_key()` to what d reads beyond the chain, so that
-    more complexes share each table, differential and cohomology."""
+    lower complex).  It may narrow `_coeff_key()` to what d reads beyond
+    the chain, so that more complexes share each differential and
+    cohomology."""
 
     def __init__(self, n: TruncationLevel, invert_u: bool, p_key: int, e_floor: int):
         _check_key(n, invert_u)
@@ -290,7 +282,7 @@ class SlicesBase:
         self._images: dict[tuple, tuple[int, tuple[int, ...]]] = {}
 
     def _chain_key(self, s: int) -> tuple:
-        return self.n, self.invert_u, self.p_key, self.e_floor, s
+        return (s,) + self._band(s)
 
     def _coeff_key(self) -> tuple:
         return self.n, self.invert_u, self.p_key, self.e_floor
@@ -383,21 +375,10 @@ class SliceComplex(SlicesBase):
             hi = min(self.p_key, s * cap) if cap is not None else self.p_key
         return (cap if cap is not None else max(hi, 1)), max(s, self.e_floor), hi
 
-    def _chain_key(self, s: int) -> tuple:
-        return (s,) + self._band(s)
-
     def _new_table(self, key: tuple, s: int) -> ChainTable:
-        cap, lo, hi = self._band(s)
-        if s > 1:
-            blocks = _band_blocks(s, cap, lo, hi)
-            words = sorted(word for block in blocks for word in block.words)
-            return ChainTable(key, tuple(words), {b.key[2]: b for b in blocks})
-        # a word of length 0 or 1 is fixed by its weight: listed without
-        # blocks, which would cost more than they share, and split when d is
-        # assembled
-        _check_band(s, cap, lo, hi)
-        return ChainTable(key, tuple((w,)[:s] for w in range(max(lo, s), min(hi, s * cap) + 1)),
-                          {})
+        blocks = _band_blocks(s, *self._band(s))
+        words = sorted(word for block in blocks for word in block.words)
+        return ChainTable(key, tuple(words), {b.key[2]: b for b in blocks})
 
     def _coeff_key(self) -> tuple:
         # coaction_letters(beta, n) reads beta mod 2^n at a finite level (Lucas)
@@ -420,11 +401,11 @@ class SliceComplex(SlicesBase):
         u^(p - w), and a weight with none keeps its kept columns as they are."""
         row, at = tgt.index.__getitem__, src.index.__getitem__
         cols = [0] * len(src.words) if split is None else list(split)
-        for w, splits in _weight_splits(src):
+        for w, block in src.blocks.items():
             letters = coaction_letters(self.p_key - w, self.n) if coaction else ()
             if split is not None and not letters:
                 continue
-            for word, targets in splits.items():
+            for word, targets in block.splits().items():
                 j = at(word)
                 col = cols[j]
                 try:

@@ -13,13 +13,11 @@ since it adds y_r only when bit r of beta is set.  index_top bounds the
 indices, here and on the closed-form pages of xadic.  At the untruncated
 level (n = None, u not inverted) every bit of beta is used.  Complexes are
 shared under the cobar key (n, invert_u, p_key, e_floor) in their own LRU.
-The model supplies the three hooks of cobar.SlicesBase: `_chains`,
-`_targets` (the terms of d above) and `_legal` (every index below n).  Its `_chain_key` drops p with u
-inverted, so the complexes of one weight cut share their chain tables
-whatever p mod 2^n, and it reads the cut as max(s, e_floor): s indices
-weigh at least s, so every cut up to s lists the same slice s.  Its
-`_coeff_key` is p_key & _mask, the bits of beta that d reads.  The base
-assembles the matrices, shared like the tables, and
+The model supplies the hooks of cobar.SlicesBase: `_band`, the index bound
+and the weights max(s, e_floor)..p (no bound and no p with u inverted) that
+y_chains lists, `_chains`, `_targets` (the terms of d above) and `_legal`
+(every index below n).  Its `_coeff_key` is p_key & _mask, the bits of beta
+that d reads.  The base assembles the matrices, shared like the tables, and
 cobar._truncation_map restricts to a lower level, sending y_r to 0 for
 r >= lo.n.  stable_level gives the level from which the u-inverted tower of
 a degree is constant; slice charts read one complex there, and
@@ -37,16 +35,18 @@ from .grading import RO2Degree
 from .hopf import TruncationLevel
 
 
-def y_chains(r_top: int, s: int, w_min: int):
+def y_chains(r_top: int, s: int, w_min: int, w_max: int | None = None):
     """The monomials y^I with |I| = s, indices r < r_top and weight
-    w = sum of 2^r over I at least w_min, as pairs (I, w); I is an ascending
-    index tuple, in combinations order."""
+    w = sum of 2^r over I in w_min..w_max (no upper bound for None), as
+    pairs (I, w); I is an ascending index tuple, in combinations order."""
     weights = [1 << r for r in range(r_top)]
+    if w_max is None:
+        w_max = s << r_top  # above every weight
     # both streams list the same multisets in the same order
     for chain, ws in zip(combinations_with_replacement(range(r_top), s),
                          combinations_with_replacement(weights, s)):
         w = sum(ws)
-        if w >= w_min:
+        if w_min <= w <= w_max:
             yield chain, w
 
 
@@ -89,19 +89,16 @@ class KoszulComplex(SlicesBase):
         self._r_top = index_top(n, invert_u, p_key)
         self._mask = (1 << self._r_top) - 1
 
-    def _chain_key(self, s: int) -> tuple:
+    def _band(self, s: int) -> tuple:
         # s indices weigh at least s, so every cut up to s lists one slice
-        return (self._r_top, s, max(s, self.e_floor),
-                None if self.invert_u else self.p_key)
+        return self._r_top, max(s, self.e_floor), None if self.invert_u else self.p_key
 
     def _coeff_key(self) -> int:
         return self.p_key & self._mask
 
     def _chains(self, s: int):
-        chains = y_chains(self._r_top, s, self.e_floor)
-        if self.invert_u:
-            return (chain for chain, _ in chains)
-        return (chain for chain, w in chains if w <= self.p_key)
+        r_top, lo, hi = self._band(s)
+        return (chain for chain, _ in y_chains(r_top, s, lo, hi))
 
     def _targets(self, chain: tuple[int, ...]):
         beta = self.p_key - sum(1 << r for r in chain)

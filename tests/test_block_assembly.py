@@ -96,9 +96,41 @@ def test_a_coaction_target_outside_the_next_slice_is_refused(fresh, monkeypatch)
 def test_a_split_target_outside_the_next_slice_is_refused(fresh, monkeypatch):
     splits = cobar._splits
     monkeypatch.setattr(cobar, "_splits", lambda word: (*splits(word), (99,) + word))
-    for s in (1, 2, 3):  # one word per weight, then weight blocks
+    for s in (1, 2, 3):
         with pytest.raises(AssertionError, match="missing"):
             cobar.SliceComplex(2, True, 0, 0).matrix(s)
+
+
+@pytest.mark.parametrize("invert_u", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slices_0_and_1_are_listed_and_split_through_weight_blocks(fresh, monkeypatch,
+                                                                   n, invert_u):
+    cap = letter_cap(n)
+    # two coefficient keys on one table of each of slices 0, 1 and 2
+    one, other = (cobar.SliceComplex(n, invert_u, p_key, 0)
+                  for p_key in ((0, 1) if invert_u else (2 * cap, 2 * cap + 1)))
+    assert one._coeff_key() != other._coeff_key()
+    for s in (0, 1):
+        table = one._table(s)
+        assert table is other._table(s) and one._table(s + 1) is other._table(s + 1)
+        _, lo, hi = one._band(s)
+        weights = range(max(lo, s), min(hi, s * cap) + 1)
+        assert list(table.blocks) == list(weights)
+        assert [block.words for block in table.blocks.values()] == [
+            ((w,)[:s],) for w in weights]
+    # the second key is served each block's split map: no word is split again
+    served, split = [], []
+    block_splits, word_splits = cobar._WeightBlock.splits, cobar._splits
+    monkeypatch.setattr(cobar._WeightBlock, "splits",
+                        lambda block: served.append(block_splits(block)) or served[-1])
+    monkeypatch.setattr(cobar, "_splits", lambda word: split.append(word) or word_splits(word))
+    assert one.matrix(1) == _per_chain(one, 1)
+    first = {id(m) for m in served}
+    assert first and split
+    served.clear()
+    split.clear()
+    assert other.matrix(1) == _per_chain(other, 1)
+    assert {id(m) for m in served} == first and split == []
 
 
 def test_a_slice_of_long_words_is_built_without_recursion():

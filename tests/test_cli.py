@@ -133,18 +133,31 @@ def test_pool_starts_at_most_one_worker_per_item_and_cpu(monkeypatch, capsys):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    # the first item runs before the pool, which maps the rest
+    assert cli.pool_map(str, range(2), 5000) == ["0", "1"]
     assert cli.pool_map(str, range(3), 5000) == ["0", "1", "2"]
     assert cli.pool_map(str, range(10), 5000) == [str(i) for i in range(10)]
     assert cli.pool_map(str, range(10), 2) == [str(i) for i in range(10)]
     assert cli.pool_map(str, range(10), 1) == [str(i) for i in range(10)]
-    assert sizes == [3, 4, 2]
+    assert sizes == [2, 4, 2]
     argv = ["chart", "--stems", "0..7", "--smax", "2"]
     assert cli.main(argv + ["--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     assert cli.main(argv + ["--jobs", "5000"]) == 0
     # one work item per filtration: three of them at --smax 2
-    assert sizes == [3, 4, 2, 3]
+    assert sizes == [2, 4, 2, 2]
     assert capsys.readouterr().out == serial
+
+
+def test_a_refused_first_cell_starts_no_pool(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    # the first cell, s = -1, is refused in this process
+    assert cli.main(["ext-table", "--n", "2", "--s", "-1..1", "--jobs", "2"]) == 2
+    assert "negative filtration s=-1" in capsys.readouterr().err
 
 
 def test_importing_the_cli_leaves_lazy_modules_unloaded():

@@ -2,6 +2,8 @@
 reports, and the Koszul slice guard; towers from the stable level against
 the level-free weight quotient."""
 
+from itertools import product
+
 import pytest
 
 from cobarext import cobar, koszul, xadic
@@ -25,6 +27,21 @@ def test_koszul_chains_and_differential_examples():
     assert koszul.KoszulComplex(3, True, 0, 3).words(1) == ((2,),)
     assert list(koszul.y_chains(3, 2, 3)) == [
         ((0, 1), 3), ((0, 2), 5), ((1, 1), 4), ((1, 2), 6), ((2, 2), 8)]
+
+
+def test_y_chains_are_the_brute_force_weight_band():
+    for r_top in range(5):
+        for s in range(5):
+            chains = [(c, sum(1 << r for r in c))
+                      for c in product(range(r_top), repeat=s) if list(c) == sorted(c)]
+            top = s << max(r_top - 1, 0)
+            for w_min in range(-1, top + 2):
+                # no bound, an empty band (w_max < w_min), one weight, a few, past the top
+                for w_max in (None, w_min - 1, w_min, w_min + 3, top + 1):
+                    want = [(c, w) for c, w in chains
+                            if w >= w_min and (w_max is None or w <= w_max)]
+                    assert list(koszul.y_chains(r_top, s, w_min, w_max)) == want, (
+                        r_top, s, w_min, w_max)
 
 
 def test_koszul_chains_with_u_not_inverted_and_at_inf():
@@ -139,9 +156,12 @@ class WeightQuotient(cobar.SlicesBase):
         super().__init__(None, False, p, e)
         self._r_top = max(e - 1, 0).bit_length()
 
+    def _band(self, s):
+        return self._r_top, 0, self.e_floor - 1
+
     def _chains(self, s):
-        return (chain for chain, w in koszul.y_chains(self._r_top, s, 0)
-                if w < self.e_floor)
+        r_top, lo, hi = self._band(s)
+        return (chain for chain, _ in koszul.y_chains(r_top, s, lo, hi))
 
     def _targets(self, chain):
         w = sum(1 << r for r in chain)
